@@ -7,7 +7,8 @@ config.  Outputs are staged to a temp file and atomically renamed; nothing
 partial is ever left at the target path.
 
 Exit codes: 0 success, 2 usage/validation, 3 numeric failure
-(truncation/positive-definiteness/guards), 4 I/O failure.
+(truncation/positive-definiteness/guards/floating-point overflow), 4 I/O
+failure.
 """
 
 from __future__ import annotations
@@ -247,6 +248,16 @@ def _cmd_compare(args) -> str:
 # parser
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    try:
+        v = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
+    return v
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="triemoments",
@@ -262,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--n", type=int, required=True)
             sp.add_argument("--trials", type=int, required=True)
             sp.add_argument("--seed", type=int, default=0)
-            sp.add_argument("--threads", type=int, default=1)
+            sp.add_argument("--threads", type=_positive_int, default=1)
 
     sp = sub.add_parser("exact", help="exact moment table as CSV/JSON")
     common(sp)
@@ -281,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--irrational", action="store_true")
     sp.add_argument("--emit-F", dest="emit_F", action="store_true",
                     help="emit (log2n, F) samples over one period (p=1/2)")
-    sp.add_argument("--points", type=int, default=512)
+    sp.add_argument("--points", type=_positive_int, default=512)
     sp.set_defaults(fn=_cmd_asym)
 
     sp = sub.add_parser("simulate", help="Monte-Carlo moment summary")
@@ -361,7 +372,7 @@ def main(argv=None) -> int:
     except (ValueError, RatioSpecMismatch) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except TrieMomentsError as e:
+    except (TrieMomentsError, ArithmeticError) as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return 3
     except OSError as e:

@@ -53,38 +53,6 @@ def _pad_pow2(x):
     return np.concatenate([x, pad], axis=-1)
 
 
-def csum(x):
-    """Compensated sum of a float array along the last axis.
-
-    Cascaded two-sum fold; the fold errors are accumulated separately, so
-    the result is as if computed in twice working precision (Sum2).  The
-    last few positive-sum levels use plain pairwise summation (error of a
-    couple of ulps, second order against the carried compensation).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] == 0:
-        return np.zeros(x.shape[:-1])[()]
-    x = _pad_pow2(x)  # zero padding is exact in two_sum
-    err = np.zeros(x.shape[:-1])
-    while x.shape[-1] > 8:
-        m = x.shape[-1] // 2
-        x, e = two_sum(x[..., :m], x[..., m:])
-        err = err + e.sum(axis=-1)
-    return x.sum(axis=-1) + err
-
-
-def cdot(a, b):
-    """Dot product with compensated accumulation along the last axis.
-
-    Products are formed in working precision and summed with ``csum``.
-    For positive-term convolutions (condition number 1) the product
-    roundings contribute at most one ulp of the result, so the fold's
-    compensation is the part that matters.
-    """
-    p = np.asarray(a, dtype=np.float64) * np.asarray(b, dtype=np.float64)
-    return csum(p)
-
-
 def _renorm(hi, e1, e2):
     s, e = quick_two_sum(hi, e1)
     return quick_two_sum(s, e + e2)

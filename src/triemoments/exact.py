@@ -4,27 +4,43 @@ The three shape parameters satisfy, for n >= 2, distributional recurrences
 of split type: the left subtree receives Binom(n, p) keys, the right the
 rest, the two subtrees are independent, and the tolls are +1 (size), +n
 (KPL) and +(left size + right size) (NPL).  Conditioning on the split and
-expanding products of independent subtree contributions turns these into
-an O(n_max^2) dynamic program over first, second and mixed moments.  The
-k = 0 and k = n split outcomes reproduce the parent quantity itself; those
-self-terms are moved to the left-hand side, so each step divides by
-1 - p^n - q^n.
+applying the laws of total expectation and total covariance turns these
+into an O(n_max^2) dynamic program over the means and the centred second
+moments: Var S, Var K, Var N, Cov(S, K) and Cov(S, N).  Given the split k,
+the conditional covariance is the sum of the two subtrees' covariances and
+the conditional means deviate from the new means by
+
+    d_S(k) = 1 + ES(k) + ES(n-k) - ES(n)
+    d_K(k) = n + EK(k) + EK(n-k) - EK(n)
+    d_N(k) = EN(k) + EN(n-k) + ES(k) + ES(n-k) - EN(n),
+
+each of the order of a standard deviation, so no term cancels and the
+variances need no subtraction of nearly equal raw moments.  The k = 0 and
+k = n split outcomes reproduce the parent quantity itself; those self-terms
+are moved to the left-hand side, so each step divides by 1 - p^n - q^n.
+Each n costs two reductions: the (8, n-1) block of earlier moments against
+the symmetrised weights w(k) + w(n-k), and the 3x3 weighted Gram matrix of
+the deviations.
 
 Within one n the update order is fixed by data dependence:
 
-    ES, EK, EN  ->  ES2, EK2, ESK  ->  ESN  ->  EN2
+    ES, EK, EN  ->  Var S, Var K, Cov SK  ->  Cov SN  ->  Var N
 
-(ESN consumes ES2 of the same n; EN2 consumes ESN and ES2).
+(the deviations need the new means; Cov SN consumes Var S of the same n,
+Var N consumes Cov SN and Var S).
 
 Precision modes
 ---------------
-standard   float64 tables; binomial weights by a mode-centred multiplicative
-           recurrence with renormalisation; convolution sums use compensated
-           accumulation and accessors cancel second moments with exact
-           product splitting.
-extended   double-double tables end to end; weights maintained by the exact
-           Pascal update w'(k) = p w(k-1) + q w(k), so second-moment
-           cancellation keeps ~1e-28 relative accuracy.
+standard   float64 centred recurrence; binomial weights by a mode-centred
+           multiplicative recurrence with renormalisation.  The linear
+           reduction is numpy's pairwise sum, the Gram matrix one BLAS
+           product, so output is byte-identical per machine and BLAS build.
+           The raw moments ES2 ... ESN are derived as Var + mean * mean.
+extended   the independent reference: the raw-moment recurrence (ES2, EK2,
+           EN2, ESK, ESN) in double-double end to end, weights maintained
+           by the exact Pascal update w'(k) = p w(k-1) + q w(k), and the
+           centred moments formed once in double-double from the finished
+           tables, keeping ~1e-28 relative accuracy through the cancellation.
 
 The module also houses the Poisson model: truncated Poisson generating
 functions of the moment sequences, the Poissonized variances/covariance and
@@ -36,14 +52,20 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dd import DD, cdot, two_prod
+from .dd import DD
 from .errors import DegenerateVariance, GuardExceeded
 
 _ARRAYS = ("ES", "EK", "EN", "ES2", "EK2", "EN2", "ESK", "ESN")
+_MEANS = _ARRAYS[:3]
+# centred second moments in within-n order, each with the raw moment and
+# the two means it is centred by: Cov(X, Y) = E(XY) - E(X) E(Y)
+_CENTRED = {"VarS": ("ES2", "ES", "ES"), "VarK": ("EK2", "EK", "EK"),
+            "CovSK": ("ESK", "ES", "EK"), "CovSN": ("ESN", "ES", "EN"),
+            "VarN": ("EN2", "EN", "EN")}
 
 
 def _binom_weights(n: int, p: float, q: float) -> np.ndarray:
@@ -68,21 +90,13 @@ def _binom_weights(n: int, p: float, q: float) -> np.ndarray:
     return w
 
 
-def _var(m2: float, m1: float) -> float:
-    # m2 - m1^2 with the squaring error removed (the subtraction itself is
-    # exact by Sterbenz whenever the variance is small relative to m2).
-    sq, err = two_prod(m1, m1)
-    return float((m2 - sq) - err)
-
-
-def _cov(m11: float, mx: float, my: float) -> float:
-    pr, err = two_prod(mx, my)
-    return float((m11 - pr) - err)
-
-
 @dataclass(frozen=True)
 class MomentTable:
-    """Exact first/second/mixed moments of (S_n, K_n, N_n) for n <= n_max."""
+    """Exact first/second/mixed moments of (S_n, K_n, N_n) for n <= n_max.
+
+    ES, EK, EN are the means; VarS ... CovSN the centred second moments the
+    accessors return; ES2 ... ESN the raw second moments.
+    """
 
     p: float
     n_max: int
@@ -95,7 +109,11 @@ class MomentTable:
     EN2: np.ndarray
     ESK: np.ndarray
     ESN: np.ndarray
-    _dd: dict | None = field(default=None, repr=False)
+    VarS: np.ndarray
+    VarK: np.ndarray
+    VarN: np.ndarray
+    CovSK: np.ndarray
+    CovSN: np.ndarray
 
     # -- accessors ---------------------------------------------------------
     def _check_n(self, n: int):
@@ -121,35 +139,25 @@ class MomentTable:
             raise ValueError("mean_depth needs n >= 1")
         return float(self.EK[n]) / n
 
-    def _second(self, sq_name: str, a_name: str, b_name: str, n: int) -> float:
-        if self._dd is not None:
-            m2 = self._dd[sq_name][n]
-            r = m2 - self._dd[a_name][n] * self._dd[b_name][n]
-            return float(r.to_float())
-        if a_name == b_name:
-            return _var(getattr(self, sq_name)[n], getattr(self, a_name)[n])
-        return _cov(getattr(self, sq_name)[n], getattr(self, a_name)[n],
-                    getattr(self, b_name)[n])
-
     def var_S(self, n: int) -> float:
         self._check_n(n)
-        return self._second("ES2", "ES", "ES", n)
+        return float(self.VarS[n])
 
     def var_K(self, n: int) -> float:
         self._check_n(n)
-        return self._second("EK2", "EK", "EK", n)
+        return float(self.VarK[n])
 
     def var_N(self, n: int) -> float:
         self._check_n(n)
-        return self._second("EN2", "EN", "EN", n)
+        return float(self.VarN[n])
 
     def cov_SK(self, n: int) -> float:
         self._check_n(n)
-        return self._second("ESK", "ES", "EK", n)
+        return float(self.CovSK[n])
 
     def cov_SN(self, n: int) -> float:
         self._check_n(n)
-        return self._second("ESN", "ES", "EN", n)
+        return float(self.CovSN[n])
 
     def _rho(self, cov: float, va: float, vb: float, n: int) -> float:
         if n < 2 or va <= 0.0 or vb <= 0.0:
@@ -210,45 +218,34 @@ class MomentTable:
 
 
 def _compute_standard(p: float, q: float, n_max: int) -> dict:
-    t = {name: np.zeros(n_max + 1) for name in _ARRAYS}
-    ES, EK, EN = t["ES"], t["EK"], t["EN"]
-    ES2, EK2, EN2 = t["ES2"], t["EK2"], t["EN2"]
-    ESK, ESN = t["ESK"], t["ESN"]
+    # Row order of M: the three means, then the five centred second moments.
+    M = np.zeros((8, n_max + 1))
+    mS, mK, mN, vSS, vKK, vSK, vSN, vNN = M
     for n in range(2, n_max + 1):
         w = _binom_weights(n, p, q)
-        wi = w[1:n]
         wb = w[0] + w[n]
         denom = 1.0 - wb
-        fwd = slice(1, n)
-        rev = slice(n - 1, 0, -1)
-        sf, sr = ES[fwd], ES[rev]
-        kf, kr = EK[fwd], EK[rev]
-        nf, nr = EN[fwd], EN[rev]
-        r_s = sf + sr
-        r_k = kf + kr
-        r_n = nf + nr + r_s
-        rows = np.stack([
-            r_s,
-            r_k,
-            r_n,
-            ES2[fwd] + ES2[rev] + 2.0 * (sf * sr + r_s),
-            EK2[fwd] + EK2[rev] + 2.0 * (kf * kr) + (2.0 * n) * r_k,
-            ESK[fwd] + ESK[rev] + sf * kr + sr * kf + float(n) * r_s + r_k,
-            ESN[fwd] + ESN[rev] + ES2[fwd] + ES2[rev]
-            + sf * nr + nf * sr + 2.0 * sf * sr + r_n,
-            EN2[fwd] + EN2[rev] + 2.0 * (ESN[fwd] + ESN[rev]) + ES2[fwd] + ES2[rev]
-            + 2.0 * (nf * nr + nf * sr + sf * nr + sf * sr),
-        ])
-        d = cdot(rows, wi)
-        ES[n] = (d[0] + 1.0) / denom
-        EK[n] = (d[1] + n) / denom
-        EN[n] = (d[2] + wb * ES[n]) / denom
-        ES2[n] = (d[3] + wb * 2.0 * ES[n] + 1.0) / denom
-        EK2[n] = (d[4] + wb * (2.0 * n) * EK[n] + float(n) * n) / denom
-        ESK[n] = (d[5] + wb * (n * ES[n] + EK[n]) + n) / denom
-        ESN[n] = (d[6] + wb * (ES2[n] + EN[n] + ES[n])) / denom
-        EN2[n] = (d[7] + wb * (2.0 * ESN[n] + ES2[n])) / denom
-    return t
+        # Every k-term pairs X(k) with X(n-k), so linear terms fold onto the
+        # symmetrised weights; pairwise .sum keeps the order fixed.
+        ws = w[1:n] + w[n - 1:0:-1]
+        lin = (M[:, 1:n] * ws).sum(axis=1)
+        mS[n] = ms = (lin[0] + 1.0) / denom
+        mK[n] = mk = (lin[1] + n) / denom
+        mN[n] = mn = (lin[2] + lin[0] + wb * ms) / denom
+        # deviations of the conditional means from the new means, O(sqrt Var)
+        D = M[:3, 1:n] + M[:3, n - 1:0:-1]
+        D[2] += D[0]             # N's toll is the two subtree sizes
+        D[0] += 1.0 - ms
+        D[1] += n - mk
+        D[2] -= mn
+        Q = (D * w[1:n]) @ D.T
+        vSS[n] = vss = (lin[3] + Q[0, 0] + wb) / denom
+        vKK[n] = (lin[4] + Q[1, 1] + wb * (float(n) * n)) / denom
+        vSK[n] = (lin[5] + Q[0, 1] + wb * n) / denom
+        vSN[n] = vsn = (lin[6] + lin[3] + Q[0, 2] + wb * (vss + ms)) / denom
+        vNN[n] = (lin[7] + 2.0 * lin[6] + lin[3] + Q[2, 2]
+                  + wb * (2.0 * vsn + vss + ms * ms)) / denom
+    return dict(zip(_MEANS + tuple(_CENTRED), M))
 
 
 def _dd_stack(rows: list[DD]) -> DD:
@@ -328,12 +325,14 @@ def compute(p: float, n_max: int, precision: str = "standard") -> MomentTable:
     p_eff = 1.0 - q_eff
     if precision == "standard":
         t = _compute_standard(p_eff, q_eff, n_max)
-        return MomentTable(p=p, n_max=n_max, precision=precision,
-                           **{k: t[k] for k in _ARRAYS})
-    t = _compute_extended(p_eff, q_eff, n_max)
-    floats = {k: t[k].to_float() for k in _ARRAYS}
-    return MomentTable(p=p, n_max=n_max, precision=precision,
-                       _dd=t, **floats)
+        for name, (raw, a, b) in _CENTRED.items():
+            t[raw] = t[name] + t[a] * t[b]
+    else:
+        dd = _compute_extended(p_eff, q_eff, n_max)
+        t = {k: dd[k].to_float() for k in _ARRAYS}
+        for name, (raw, a, b) in _CENTRED.items():
+            t[name] = (dd[raw] - dd[a] * dd[b]).to_float()
+    return MomentTable(p=p, n_max=n_max, precision=precision, **t)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -32,10 +33,26 @@ class TestExact:
         assert code == 2
 
     def test_pq_symmetry_of_files(self, capsys):
-        _, a, _ = run_cli(["exact", "--p", "0.3", "--nmax", "32"], capsys)
-        _, b, _ = run_cli(["exact", "--p", "0.7", "--nmax", "32"], capsys)
         strip = lambda text: [ln for ln in text.split("\n") if not ln.startswith("#")]
-        assert strip(a) == strip(b)
+        for precision in ("standard", "extended"):
+            tail = ["--nmax", "32", "--precision", precision]
+            _, a, _ = run_cli(["exact", "--p", "0.3"] + tail, capsys)
+            _, b, _ = run_cli(["exact", "--p", "0.7"] + tail, capsys)
+            assert strip(a) == strip(b), precision
+
+    def test_identical_across_blas_threads(self):
+        # the DP's Gram matrix is a BLAS product; its result must not
+        # depend on the BLAS thread count
+        outs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "triemoments.cli", "exact", "--p",
+                 "0.3", "--nmax", "1024"],
+                capture_output=True, text=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
 
     def test_atomic_out_file(self, tmp_path, capsys):
         out = tmp_path / "table.csv"
@@ -86,6 +103,18 @@ class TestAsym:
         code, _, _ = run_cli(["asym", "--p", "0.3", "--emit-F"], capsys)
         assert code == 2
 
+    def test_points_below_one_exit_2(self, capsys):
+        code, _, err = run_cli(["asym", "--p", "0.5", "--emit-F",
+                                "--points", "0"], capsys)
+        assert code == 2
+        assert "--points" in err
+
+    def test_overflow_is_numeric_error_exit_3(self, capsys):
+        # p = 1e-9 drives the gamma reflection out of range (OverflowError)
+        code, _, err = run_cli(["asym", "--p", "1e-9"], capsys)
+        assert code == 3
+        assert "numeric error" in err
+
     def test_ratio_flag(self, capsys):
         code, out, _ = run_cli(["asym", "--p", "0.5", "--ratio", "1/1"], capsys)
         assert json.loads(out)["config"]["ratio_source"] == "supplied"
@@ -113,6 +142,12 @@ class TestSimulate:
         lines = raw.read_text().strip().split("\n")
         assert lines[0] == "trial,S,K,N"
         assert len(lines) == 151
+
+    def test_threads_below_one_exit_2(self, capsys):
+        code, _, err = run_cli(["simulate", "--p", "0.5", "--n", "8",
+                                "--trials", "10", "--threads", "0"], capsys)
+        assert code == 2
+        assert "--threads" in err
 
     def test_threads_flag_deterministic(self, capsys):
         base = ["simulate", "--p", "0.5", "--n", "64", "--trials", "2100",

@@ -1,8 +1,6 @@
-import math
-
 import numpy as np
 
-from triemoments.dd import DD, cdot, csum, two_prod, two_sum
+from triemoments.dd import DD, two_prod, two_sum
 
 
 def test_two_sum_exact():
@@ -17,32 +15,6 @@ def test_two_prod_exact():
     # a*b = 1 - 2^-60 exactly; p rounds to 1.0 and e recovers the rest
     assert p == 1.0
     assert e == -(2.0 ** -60)
-
-
-def test_csum_matches_fsum():
-    rng = np.random.default_rng(7)
-    for m in (1, 2, 3, 17, 256, 1000):
-        x = rng.normal(size=m) * 10.0 ** rng.integers(-6, 6, size=m)
-        got = csum(x)
-        want = math.fsum(x)
-        assert abs(got - want) <= 4 * abs(want) * 2.0 ** -52 + 1e-300
-
-
-def test_csum_axis_stacked():
-    rng = np.random.default_rng(8)
-    x = rng.random((5, 333))
-    got = csum(x)
-    assert got.shape == (5,)
-    for i in range(5):
-        assert abs(got[i] - math.fsum(x[i])) < 1e-13
-
-
-def test_cdot_positive_terms():
-    rng = np.random.default_rng(9)
-    w = rng.random(501)
-    f = rng.random(501) * 1e6
-    want = math.fsum([a * b for a, b in zip(w, f)])
-    assert abs(cdot(w, f) - want) <= 8 * abs(want) * 2.0 ** -52
 
 
 def test_dd_add_keeps_low_part():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 from conftest import assert_close, table, two_key_oracle
 from triemoments import DegenerateVariance, compute
@@ -168,3 +169,61 @@ def test_corrected_denominator_rho():
     # the correction is configurable; zero recovers the plain value
     assert t.rho_SK_corrected(512, correction=0.0) == pytest.approx(plain,
                                                                     rel=1e-15)
+
+
+def _mp_raw_moments(p: float, n_max: int, dps: int = 50):
+    """E Y_n and E Y_n Y_n^T for Y = (S, K, N), n <= n_max, in mpmath.
+
+    Written independently of the package: given the split k, Y_n = c +
+    A (Y_k + Y'_{n-k}) with independent subtrees, c = (1, n, 0) and A adding
+    the subtree sizes to N.  The k = 0, n outcomes contain Y_n itself, so
+    each n solves (I - wb A) mu = r and (I - wb A (x) A) vec M = vec R.
+    """
+    with mp.workdps(dps):
+        P = mpf(p)
+        Q = 1 - P
+        A = mp.matrix([[1, 0, 0], [0, 1, 0], [1, 0, 1]])
+        AA = mp.matrix(9, 9)
+        for i in range(9):
+            for j in range(9):
+                AA[i, j] = A[i // 3, j // 3] * A[i % 3, j % 3]
+        zero = [mpf(0)] * 3
+        mu = [zero, zero]
+        M = [[zero] * 3, [zero] * 3]
+        for n in range(2, n_max + 1):
+            w = [math.comb(n, k) * P ** k * Q ** (n - k) for k in range(n + 1)]
+            wb = w[0] + w[n]
+            m = [mpf(0)] * 3
+            R2 = [[mpf(0)] * 3 for _ in range(3)]
+            for k in range(1, n):
+                a, b, Ma, Mb = mu[k], mu[n - k], M[k], M[n - k]
+                for i in range(3):
+                    m[i] += w[k] * (a[i] + b[i])
+                    for j in range(3):
+                        R2[i][j] += w[k] * (Ma[i][j] + Mb[i][j]
+                                            + a[i] * b[j] + b[i] * a[j])
+            c = mp.matrix([1, n, 0])
+            mvec = mp.matrix(m)
+            mu_n = mp.lu_solve(mp.eye(3) - wb * A, c + A * mvec)
+            Am = A * (mvec + wb * mu_n)   # A E(Y_k + Y'_{n-k}), all k
+            R = c * c.T + c * Am.T + Am * c.T + A * mp.matrix(R2) * A.T
+            vec_m = mp.lu_solve(mp.eye(9) - wb * AA,
+                                mp.matrix([R[i // 3, i % 3] for i in range(9)]))
+            mu.append([mu_n[i] for i in range(3)])
+            M.append([[vec_m[3 * i + j] for j in range(3)] for i in range(3)])
+        return mu, M
+
+
+@pytest.mark.parametrize("p", [0.5, 0.3, 0.1, 0.02])
+def test_second_moments_match_mpmath_oracle(p):
+    n_max = 128
+    mu, M = _mp_raw_moments(p, n_max)
+    t = compute(p, n_max)
+    accessors = {"var_S": (0, 0), "var_K": (1, 1), "var_N": (2, 2),
+                 "cov_SK": (0, 1), "cov_SN": (0, 2)}
+    with mp.workdps(50):
+        for n in range(2, n_max + 1):
+            for name, (i, j) in accessors.items():
+                want = float(M[n][i][j] - mu[n][i] * mu[n][j])
+                assert_close(getattr(t, name)(n), want, rtol=3e-14,
+                             msg=f"{name}({n}) at p={p}")
