@@ -31,7 +31,6 @@ roots / inverse square roots.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -148,6 +147,10 @@ class Truncation:
 
 
 _DEFAULT_TRUNC = Truncation()
+# A larger need means max(p, q) > 0.99958; the tail sum already fails to
+# converge from p = 0.98 (2,071 terms) to 0.9995 (82,892 terms), so refuse
+# before summing rather than loop for minutes (41M terms at p = 0.999999).
+_MAX_ELL = 100_000
 
 
 def _ell_limit(trunc: Truncation, p: float) -> int:
@@ -156,6 +159,10 @@ def _ell_limit(trunc: Truncation, p: float) -> int:
     # general-p tails decay like max(p,q)^ell; 80 suffices only at p = 1/2
     r = max(p, 1.0 - p)
     need = int(math.log(trunc.tol) / math.log(r)) + 20 if r > 0.5 else 0
+    if need > _MAX_ELL:
+        raise TruncationNotConverged(
+            f"series at p={p:g} needs {need} terms for tol={trunc.tol:g}, "
+            f"more than {_MAX_ELL}")
     return max(80, need)
 
 
@@ -338,6 +345,8 @@ _SYM_FAMILIES = {"g1": g1_sym, "g2": g2_sym, "g3": g3_sym}
 def sym_coeffs(family: str, k_max: int = 5,
                trunc: Truncation = _DEFAULT_TRUNC) -> FourierCoeffs:
     """Coefficient table of one symmetric-case family (p = 1/2)."""
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
     fn = _SYM_FAMILIES[family]
     pos = [fn(k, trunc) for k in range(0, k_max + 1)]
     vals = [pos[-k].conjugate() for k in range(-k_max, 0)] + pos
@@ -348,6 +357,8 @@ def sym_coeffs(family: str, k_max: int = 5,
 def cov_coeffs(model: ModelParams, k_max: int = 5,
                trunc: Truncation = _DEFAULT_TRUNC) -> FourierCoeffs:
     """Coefficient table for the covariance family g2 at arbitrary p."""
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
     if not model.rational:
         vals = (g2_general(model, 0, trunc),)
         return FourierCoeffs(family="g2", p=model.p, k_max=0, values=vals,
@@ -393,13 +404,6 @@ def F_profile(points: int = 512, k_max: int = 5,
     x = base + np.arange(points) / points
     f = np.array([F_of_n(2.0 ** xi, k_max, trunc) for xi in x])
     return x, f
-
-
-def coeffs_json(tables: list[FourierCoeffs], extra: dict | None = None) -> str:
-    doc = {"families": [t.to_json_dict() for t in tables]}
-    if extra:
-        doc.update(extra)
-    return json.dumps(doc)
 
 
 # ---------------------------------------------------------------------------

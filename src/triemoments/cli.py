@@ -142,13 +142,11 @@ def _cmd_asym(args) -> str:
 
 def _cmd_simulate(args) -> str:
     cfg = {"command": "simulate", "p": args.p, "n": args.n,
-           "trials": args.trials, "seed": args.seed, "threads": args.threads,
-           "format": args.format}
+           "trials": args.trials, "seed": args.seed, "format": args.format}
     raw = io.StringIO() if args.dump_raw else None
     if raw is not None:
         raw.write("trial,S,K,N\n")
-    summary = mc.run(args.n, args.p, args.trials, args.seed,
-                     parallelism=args.threads, raw_dump=raw)
+    summary = mc.run(args.n, args.p, args.trials, args.seed, raw_dump=raw)
     if raw is not None:
         _emit(raw.getvalue(), args.dump_raw)
     if args.format == "csv":
@@ -159,9 +157,9 @@ def _cmd_simulate(args) -> str:
 def _cmd_whiten(args) -> str:
     cfg = {"command": "whiten", "p": args.p, "n": args.n,
            "trials": args.trials, "seed": args.seed, "source": args.source,
-           "threads": args.threads, "format": args.format}
+           "format": args.format}
     report = mc.whiten(args.n, args.p, args.trials, args.seed,
-                       source=args.source, parallelism=args.threads)
+                       source=args.source)
     if args.format == "csv":
         return _flat_kv_csv(json.loads(report.to_json()), cfg)
     return report.to_json(extra_config=cfg) + "\n"
@@ -169,10 +167,9 @@ def _cmd_whiten(args) -> str:
 
 def _cmd_hist(args) -> str:
     cfg = {"command": "hist", "p": args.p, "n": args.n, "trials": args.trials,
-           "seed": args.seed, "bins": args.bins, "threads": args.threads,
-           "format": args.format}
+           "seed": args.seed, "bins": args.bins, "format": args.format}
     h = mc.joint_histogram(args.n, args.p, args.trials, args.seed,
-                           bins=args.bins, parallelism=args.threads)
+                           bins=args.bins)
     if args.format == "csv":
         lines = [_cfg_line(cfg), f"rho,{h.rho!r}"]
         lines.append("s_edges," + ",".join(repr(float(v)) for v in h.s_edges))
@@ -273,7 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--n", type=int, required=True)
             sp.add_argument("--trials", type=int, required=True)
             sp.add_argument("--seed", type=int, default=0)
-            sp.add_argument("--threads", type=_positive_int, default=1)
 
     sp = sub.add_parser("exact", help="exact moment table as CSV/JSON")
     common(sp)

@@ -78,22 +78,12 @@ class DD:
             return other
         return DD(other)
 
-    def __len__(self):
-        return len(self.hi)
-
-    @property
-    def shape(self):
-        return self.hi.shape
-
     def __getitem__(self, idx) -> "DD":
         return DD(self.hi[idx], self.lo[idx])
 
     def __setitem__(self, idx, value: "DD"):
         self.hi[idx] = value.hi
         self.lo[idx] = value.lo
-
-    def copy(self) -> "DD":
-        return DD(self.hi.copy(), self.lo.copy())
 
     def to_float(self):
         return self.hi + self.lo

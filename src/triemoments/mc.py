@@ -1,10 +1,10 @@
 """Monte-Carlo estimation of trie shape moments, whitening and diagnostics.
 
 Trials are independent units of work.  Trial t draws from its own
-counter-derived RNG stream (``trie.trial_rng``), so results are bitwise
-identical for any degree of parallelism: chunks of consecutive trials are
-processed (possibly concurrently), reduced to moment accumulators, and the
-accumulators are merged in fixed chunk order.
+counter-derived RNG stream (``trie.trial_rng``), so sample t is the same
+however the trials are grouped: ``run`` draws them serially in chunks of
+consecutive trials, reduces each chunk to a moment accumulator and merges
+the accumulators in trial order.
 
 ``run`` streams: memory is bounded by the chunk size.  ``whiten``,
 ``joint_histogram`` and ``normality_report`` keep the per-trial matrix
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,25 +42,11 @@ def _sample_chunk(n: int, p: float, seed: int, start: int, count: int) -> np.nda
     return out
 
 
-def _chunk_ranges(trials: int, chunk: int = _CHUNK):
-    for start in range(0, trials, chunk):
-        yield start, min(chunk, trials - start)
-
-
-def _map_chunks(fn, ranges, parallelism: int):
-    if parallelism <= 1:
-        return [fn(r) for r in ranges]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(fn, ranges))
-
-
-def sample_matrix(n: int, p: float, trials: int, seed: int,
-                  parallelism: int = 1) -> np.ndarray:
+def sample_matrix(n: int, p: float, trials: int, seed: int) -> np.ndarray:
     """(trials, 3) matrix of (S, K, N) samples, deterministic per seed."""
-    ranges = list(_chunk_ranges(trials))
-    chunks = _map_chunks(
-        lambda r: _sample_chunk(n, p, seed, r[0], r[1]), ranges, parallelism)
-    return np.concatenate(chunks, axis=0)
+    if trials < 2:
+        raise ValueError("trials must be >= 2")
+    return _sample_chunk(n, p, seed, 0, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -154,24 +139,19 @@ class SampleSummary:
         })
 
 
-def run(n: int, p: float, trials: int, seed: int = 0, parallelism: int = 1,
+def run(n: int, p: float, trials: int, seed: int = 0,
         raw_dump=None) -> SampleSummary:
     """Estimate joint moments of (S, K, N) from ``trials`` independent tries."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if trials < 100:
         raise ValueError("trials must be >= 100")
-    ranges = list(_chunk_ranges(trials))
-
-    def job(r):
-        x = _sample_chunk(n, p, seed, r[0], r[1])
-        return r[0], _MomentAcc.from_samples(x), x if raw_dump is not None else None
-
-    results = _map_chunks(job, ranges, parallelism)
     acc = None
-    for start, part, x in results:  # chunk order == trial order
+    for start in range(0, trials, _CHUNK):
+        x = _sample_chunk(n, p, seed, start, min(_CHUNK, trials - start))
+        part = _MomentAcc.from_samples(x)
         acc = part if acc is None else acc.merge(part)
-        if raw_dump is not None and x is not None:
+        if raw_dump is not None:
             for i, row in enumerate(x):
                 raw_dump.write(f"{start + i},{row[0]},{row[1]},{row[2]}\n")
     var, skew, kurt = _shape_stats_from_acc(acc)
@@ -234,12 +214,12 @@ class NormalityReport:
                            "edf_distance": self.edf_distance})
 
 
-def normality_report(n: int, p: float, trials: int, seed: int = 0,
-                     parallelism: int = 1) -> NormalityReport:
+def normality_report(n: int, p: float, trials: int,
+                     seed: int = 0) -> NormalityReport:
     """Marginal normality diagnostics for standardized S and K."""
     if trials < 1000:
         raise ValueError("trials must be >= 1000")
-    x = sample_matrix(n, p, trials, seed, parallelism)
+    x = sample_matrix(n, p, trials, seed)
     out = {}
     for name, col in (("S", 0), ("K", 1)):
         out[name] = marginal_diagnostics(x[:, col])
@@ -286,7 +266,7 @@ class WhitenReport:
 
 
 def whiten(n: int, p: float, trials: int, seed: int = 0, source: str = "exact",
-           table: exact.MomentTable | None = None, parallelism: int = 1) -> WhitenReport:
+           table: exact.MomentTable | None = None) -> WhitenReport:
     """Whiten centered (S, K) by the inverse square root of a covariance matrix.
 
     source="exact" uses the finite-n matrix from the moment table (computed
@@ -298,7 +278,7 @@ def whiten(n: int, p: float, trials: int, seed: int = 0, source: str = "exact",
     """
     if source not in ("exact", "sample", "asymptotic"):
         raise ValueError("source must be exact, sample or asymptotic")
-    x = sample_matrix(n, p, trials, seed, parallelism)[:, :2].astype(np.float64)
+    x = sample_matrix(n, p, trials, seed)[:, :2].astype(np.float64)
     if source == "exact":
         if table is None:
             table = exact.compute(p, n)
@@ -359,11 +339,11 @@ class JointHistogram:
 
 
 def joint_histogram(n: int, p: float, trials: int, seed: int = 0,
-                    bins: int = 50, parallelism: int = 1) -> JointHistogram:
+                    bins: int = 50) -> JointHistogram:
     """2-D histogram of per-coordinate standardized (S, K)."""
     if bins < 10:
         raise ValueError("bins must be >= 10")
-    x = sample_matrix(n, p, trials, seed, parallelism)[:, :2].astype(np.float64)
+    x = sample_matrix(n, p, trials, seed)[:, :2].astype(np.float64)
     mu = x.mean(axis=0)
     sd = x.std(axis=0)
     if (sd == 0.0).any():

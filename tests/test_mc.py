@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from triemoments import (DegenerateVariance, NotPositiveDefinite, run, whiten,
 from triemoments.exact import compute as exact_compute
 from triemoments.mc import (_MomentAcc, ks_normal, marginal_diagnostics,
                             sample_matrix)
+from triemoments.trie import sample_shape, trial_rng
 
 
 class TestAccumulator:
@@ -47,12 +49,15 @@ class TestRun:
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.cov, b.cov)
 
-    def test_parallelism_bitwise(self):
-        a = run(256, 0.3, 3000, seed=5, parallelism=1)
-        b = run(256, 0.3, 3000, seed=5, parallelism=8)
-        assert np.array_equal(a.mean, b.mean)
-        assert np.array_equal(a.cov, b.cov)
-        assert np.array_equal(a.skewness, b.skewness)
+    def test_raw_dump_rows_match_sample_matrix(self):
+        # run streams its rows chunk by chunk; they are the same trials, in
+        # the same order, as the one-shot sample matrix
+        raw = io.StringIO()
+        run(32, 0.4, 2100, seed=3, raw_dump=raw)
+        rows = np.array([[int(v) for v in ln.split(",")]
+                         for ln in raw.getvalue().splitlines()])
+        assert np.array_equal(rows[:, 0], np.arange(2100))
+        assert np.array_equal(rows[:, 1:], sample_matrix(32, 0.4, 2100, seed=3))
 
     def test_two_key_mean(self):
         s = run(2, 0.5, 20_000, seed=11)
@@ -194,11 +199,17 @@ class TestHistogram:
 
 
 def test_sample_matrix_chunk_invariance():
-    # chunk boundaries are fixed by trial index, so parallelism never moves
-    # a trial to a different stream
-    a = sample_matrix(32, 0.4, 2100, seed=3, parallelism=1)
-    b = sample_matrix(32, 0.4, 2100, seed=3, parallelism=5)
-    assert np.array_equal(a, b)
+    # row t is drawn from trial t's own stream, so grouping trials into
+    # chunks (boundaries at multiples of 1024) never changes a sample
+    x = sample_matrix(32, 0.4, 2100, seed=3)
+    for t in (0, 1023, 1024, 2047, 2048, 2099):
+        st = sample_shape(32, 0.4, rng=trial_rng(3, t))
+        assert list(x[t]) == [st.size, st.kpl, st.npl], t
+
+
+def test_sample_matrix_trials_floor():
+    with pytest.raises(ValueError, match="trials"):
+        sample_matrix(16, 0.5, 1, seed=0)
 
 
 def test_standard_error_honesty():
