@@ -12,15 +12,14 @@ square roots.
 """
 
 from .asym import (FourierCoeffs, IRRATIONAL, ModelParams, RatioSpec,
-                   SymMatrix2, Truncation, F_of_n, F_profile, cov_coeffs,
-                   detect_ratio, fluct_eval, g1_sym, g2_general, g2_sym,
-                   g3_sym, invsqrt2, params, sigma_matrix, sqrt2, sym_coeffs)
+                   SymMatrix2, F_of_n, F_profile, cov_coeffs, detect_ratio,
+                   fluct_eval, g1_sym, g2_general, g2_sym, g3_sym, invsqrt2,
+                   params, sigma_matrix, sqrt2, sym_coeffs)
 from .errors import (DegenerateVariance, DepthGuardExceeded, GuardExceeded,
                      KeyExhausted, NotPositiveDefinite, PoleError,
                      RatioSpecMismatch, TrieMomentsError,
                      TruncationNotConverged, VariantUnavailable)
-from .exact import (MomentTable, PoissonModel, PoissonSeries, compute,
-                    poisson_eval)
+from .exact import MomentTable, PoissonModel, PoissonSeries, compute
 from .gammafn import cdigamma, cgamma
 from .mc import (JointHistogram, NormalityReport, SampleSummary, WhitenReport,
                  joint_histogram, normality_report, run, whiten)
@@ -31,13 +30,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FourierCoeffs", "IRRATIONAL", "ModelParams", "RatioSpec", "SymMatrix2",
-    "Truncation", "F_of_n", "F_profile", "cov_coeffs", "detect_ratio",
-    "fluct_eval", "g1_sym", "g2_general", "g2_sym", "g3_sym", "invsqrt2",
-    "params", "sigma_matrix", "sqrt2", "sym_coeffs",
+    "F_of_n", "F_profile", "cov_coeffs", "detect_ratio", "fluct_eval",
+    "g1_sym", "g2_general", "g2_sym", "g3_sym", "invsqrt2", "params",
+    "sigma_matrix", "sqrt2", "sym_coeffs",
     "DegenerateVariance", "DepthGuardExceeded", "GuardExceeded",
     "KeyExhausted", "NotPositiveDefinite", "PoleError", "RatioSpecMismatch",
     "TrieMomentsError", "TruncationNotConverged", "VariantUnavailable",
-    "MomentTable", "PoissonModel", "PoissonSeries", "compute", "poisson_eval",
+    "MomentTable", "PoissonModel", "PoissonSeries", "compute",
     "cdigamma", "cgamma",
     "JointHistogram", "NormalityReport", "SampleSummary", "WhitenReport",
     "joint_histogram", "normality_report", "run", "whiten",

@@ -137,50 +137,30 @@ def params(p: float, ratio_spec: RatioSpec | str | None = None) -> ModelParams:
 # coefficient series
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Truncation:
-    """Series cutoffs; ell_max None picks max(80, what the tail needs)."""
-
-    ell_max: int | None = None
-    j_max: int = 40
-    tol: float = 1e-18
-
-
-_DEFAULT_TRUNC = Truncation()
-# A larger need means max(p, q) > 0.99958; the tail sum already fails to
-# converge from p = 0.98 (2,071 terms) to 0.9995 (82,892 terms), so refuse
-# before summing rather than loop for minutes (41M terms at p = 0.999999).
+# Every series stops by itself once two consecutive terms (or, for the
+# j-convolution, a +-j pair) fall below _TOL; the caps only bound the work
+# when it does not.  General-p tails decay like max(p, q)^ell, so the ell
+# cap is reached from max(p, q) ~ 0.9996 on.
+_TOL = 1e-18
 _MAX_ELL = 100_000
+_MAX_J = 40
 
 
-def _ell_limit(trunc: Truncation, p: float) -> int:
-    if trunc.ell_max is not None:
-        return trunc.ell_max
-    # general-p tails decay like max(p,q)^ell; 80 suffices only at p = 1/2
-    r = max(p, 1.0 - p)
-    need = int(math.log(trunc.tol) / math.log(r)) + 20 if r > 0.5 else 0
-    if need > _MAX_ELL:
-        raise TruncationNotConverged(
-            f"series at p={p:g} needs {need} terms for tol={trunc.tol:g}, "
-            f"more than {_MAX_ELL}")
-    return max(80, need)
-
-
-def _series(term, ell_from: int, ell_max: int, tol: float) -> complex:
-    """Sum term(ell) until two consecutive terms drop below tol."""
+def _series(term, ell_from: int) -> complex:
+    """Sum term(ell) until two consecutive terms drop below _TOL."""
     total = 0j
     small = 0
-    for ell in range(ell_from, ell_max + 1):
+    for ell in range(ell_from, _MAX_ELL + 1):
         t = term(ell)
         total += t
-        if abs(t) < tol:
+        if abs(t) < _TOL:
             small += 1
             if small >= 2:
                 return total
         else:
             small = 0
     raise TruncationNotConverged(
-        f"series tail above tol={tol:g} after ell_max={ell_max} terms")
+        f"series tail above tol={_TOL:g} after {_MAX_ELL} terms")
 
 
 def chi_sym(k: int) -> complex:
@@ -188,7 +168,7 @@ def chi_sym(k: int) -> complex:
     return 2j * math.pi * k / LN2
 
 
-def g1_sym(k: int, trunc: Truncation = _DEFAULT_TRUNC) -> complex:
+def g1_sym(k: int) -> complex:
     """Size-variance Fourier coefficient, p = 1/2."""
     x = chi_sym(k)
     if k == 0:
@@ -200,10 +180,10 @@ def g1_sym(k: int, trunc: Truncation = _DEFAULT_TRUNC) -> complex:
         return ((-1) ** ell * cgamma(x + ell) * ell * (ell * (x + ell) - 1)
                 / (math.factorial(ell + 1) * (2.0 ** ell - 1.0)))
 
-    return lead + 2.0 / LN2 * _series(term, 1, _ell_limit(trunc, 0.5), trunc.tol)
+    return lead + 2.0 / LN2 * _series(term, 1)
 
 
-def g2_sym(k: int, trunc: Truncation = _DEFAULT_TRUNC) -> complex:
+def g2_sym(k: int) -> complex:
     """Size/KPL-covariance Fourier coefficient, p = 1/2."""
     x = chi_sym(k)
     if k == 0:
@@ -216,10 +196,10 @@ def g2_sym(k: int, trunc: Truncation = _DEFAULT_TRUNC) -> complex:
                 * (ell * (2 * ell + 1) * (x + ell) - (ell + 1) ** 2)
                 / (math.factorial(ell + 1) * (2.0 ** ell - 1.0)))
 
-    return lead + _series(term, 1, _ell_limit(trunc, 0.5), trunc.tol) / LN2
+    return lead + _series(term, 1) / LN2
 
 
-def g3_sym(k: int, trunc: Truncation = _DEFAULT_TRUNC) -> complex:
+def g3_sym(k: int) -> complex:
     """KPL-variance Fourier coefficient, p = 1/2."""
     x = chi_sym(k)
     if k == 0:
@@ -231,11 +211,10 @@ def g3_sym(k: int, trunc: Truncation = _DEFAULT_TRUNC) -> complex:
         return ((-1) ** ell * cgamma(x + ell) * (ell * (x + ell - 1) - 1)
                 / (math.factorial(ell) * (2.0 ** ell - 1.0)))
 
-    return lead + 2.0 / LN2 * _series(term, 1, _ell_limit(trunc, 0.5), trunc.tol)
+    return lead + 2.0 / LN2 * _series(term, 1)
 
 
-def g2_general(model: ModelParams, k: int,
-               trunc: Truncation = _DEFAULT_TRUNC) -> complex:
+def g2_general(model: ModelParams, k: int) -> complex:
     """Covariance Fourier coefficient g2_k for arbitrary p.
 
     Four pieces: the leading gamma factor (its k=0 removable limit is
@@ -260,37 +239,39 @@ def g2_general(model: ModelParams, k: int,
         # outward and stop once a +-j pair drops below the tolerance.
         acc = 0j
         converged = False
-        for j in range(1, trunc.j_max + 1):
+        for j in range(1, _MAX_J + 1):
             pair = 0j
             for jj in (j, -j):
                 cj = model.chi(jj)
                 pair += cgamma(model.chi(k - jj) + 1) * (cj - 1) * cgamma(cj)
             acc += pair
-            if abs(pair) < trunc.tol and j > abs(k):
+            if abs(pair) < _TOL and j > abs(k):
                 converged = True
                 break
         if not converged:
             raise TruncationNotConverged(
-                f"j-convolution tail above tol={trunc.tol:g} at j_max={trunc.j_max}")
+                f"j-convolution tail above tol={_TOL:g} at j={_MAX_J}")
         t2 = -acc / h ** 2
 
     t3 = (-cgamma(x + 1) / h ** 2
           * (EULER_GAMMA + 1 + cdigamma(x + 1)
              - (p * math.log(p) ** 2 + q * math.log(q) ** 2) / (2 * h)))
 
-    # Gamma(x+ell-1)/ell! carried multiplicatively: Gamma(ell) and ell!
+    # Gamma(x+ell-1)/ell! carried multiplicatively from one ell to the next
+    # (_series asks for ell = 2, 3, ... in order): Gamma(ell) and ell!
     # overflow separately past ell ~ 170 although their ratio stays tame
-    # (skewed p needs ell in the hundreds).
-    bracket = {2: cgamma(x + 1) / 2.0}
+    # (skewed p needs ell in the thousands).
+    bracket = cgamma(x + 1) / 2.0
 
     def term(ell):
-        if ell not in bracket:
-            bracket[ell] = bracket[ell - 1] * (x + ell - 2) / ell
+        nonlocal bracket
+        if ell > 2:
+            bracket = bracket * (x + ell - 2) / ell
         return ((-1) ** ell * (p ** ell + q ** ell)
-                / (1 - p ** ell - q ** ell) * bracket[ell]
+                / (1 - p ** ell - q ** ell) * bracket
                 * (2 * ell * ell - 2 * ell + 1 + x * (2 * ell - 1)))
 
-    t4 = _series(term, 2, _ell_limit(trunc, p), trunc.tol) / h
+    t4 = _series(term, 2) / h
     return t1 + t2 + t3 + t4
 
 
@@ -307,7 +288,6 @@ class FourierCoeffs:
     k_max: int
     values: tuple          # complex, index k + k_max
     chi_unit: complex      # chi_k = k * chi_unit
-    trunc: Truncation
 
     def value(self, k: int) -> complex:
         if abs(k) > self.k_max:
@@ -333,8 +313,6 @@ class FourierCoeffs:
                 {"k": k, "re": self.value(k).real, "im": self.value(k).imag}
                 for k in range(-self.k_max, self.k_max + 1)
             ],
-            "trunc": {"ell_max": self.trunc.ell_max, "j_max": self.trunc.j_max,
-                      "tol": self.trunc.tol},
         }
 
 
@@ -342,32 +320,29 @@ _SYM_FAMILIES = {"g1": g1_sym, "g2": g2_sym, "g3": g3_sym}
 
 
 @lru_cache(maxsize=None)
-def sym_coeffs(family: str, k_max: int = 5,
-               trunc: Truncation = _DEFAULT_TRUNC) -> FourierCoeffs:
+def sym_coeffs(family: str, k_max: int = 5) -> FourierCoeffs:
     """Coefficient table of one symmetric-case family (p = 1/2)."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     fn = _SYM_FAMILIES[family]
-    pos = [fn(k, trunc) for k in range(0, k_max + 1)]
+    pos = [fn(k) for k in range(0, k_max + 1)]
     vals = [pos[-k].conjugate() for k in range(-k_max, 0)] + pos
     return FourierCoeffs(family=family, p=0.5, k_max=k_max, values=tuple(vals),
-                         chi_unit=chi_sym(1), trunc=trunc)
+                         chi_unit=chi_sym(1))
 
 
-def cov_coeffs(model: ModelParams, k_max: int = 5,
-               trunc: Truncation = _DEFAULT_TRUNC) -> FourierCoeffs:
+def cov_coeffs(model: ModelParams, k_max: int = 5) -> FourierCoeffs:
     """Coefficient table for the covariance family g2 at arbitrary p."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     if not model.rational:
-        vals = (g2_general(model, 0, trunc),)
+        vals = (g2_general(model, 0),)
         return FourierCoeffs(family="g2", p=model.p, k_max=0, values=vals,
-                             chi_unit=0j, trunc=trunc)
-    pos = [g2_general(model, k, trunc) for k in range(0, k_max + 1)]
+                             chi_unit=0j)
+    pos = [g2_general(model, k) for k in range(0, k_max + 1)]
     vals = [pos[-k].conjugate() for k in range(-k_max, 0)] + pos
     return FourierCoeffs(family="g2", p=model.p, k_max=k_max,
-                         values=tuple(vals), chi_unit=model.chi(1),
-                         trunc=trunc)
+                         values=tuple(vals), chi_unit=model.chi(1))
 
 
 def fluct_eval(coeffs: FourierCoeffs, n) -> float:
@@ -382,19 +357,13 @@ def fluct_eval(coeffs: FourierCoeffs, n) -> float:
     return total
 
 
-@lru_cache(maxsize=None)
-def _sym_triple(k_max: int, trunc: Truncation):
-    return tuple(sym_coeffs(f, k_max, trunc) for f in ("g1", "g2", "g3"))
-
-
-def F_of_n(n, k_max: int = 5, trunc: Truncation = _DEFAULT_TRUNC) -> float:
+def F_of_n(n, k_max: int = 5) -> float:
     """Asymptotic correlation of size and KPL at p = 1/2 (period 1 in log2 n)."""
-    c1, c2, c3 = _sym_triple(k_max, trunc)
+    c1, c2, c3 = (sym_coeffs(f, k_max) for f in ("g1", "g2", "g3"))
     return fluct_eval(c2, n) / math.sqrt(fluct_eval(c1, n) * fluct_eval(c3, n))
 
 
-def F_profile(points: int = 512, k_max: int = 5,
-              trunc: Truncation = _DEFAULT_TRUNC):
+def F_profile(points: int = 512, k_max: int = 5):
     """Sample F over one period: returns (log2n array, F array).
 
     The grid spans [base, base+1) in log2 n; a uniform-grid average over one
@@ -402,7 +371,7 @@ def F_profile(points: int = 512, k_max: int = 5,
     """
     base = 20.0
     x = base + np.arange(points) / points
-    f = np.array([F_of_n(2.0 ** xi, k_max, trunc) for xi in x])
+    f = np.array([F_of_n(2.0 ** xi, k_max) for xi in x])
     return x, f
 
 
@@ -462,7 +431,7 @@ def invsqrt2(m: SymMatrix2) -> SymMatrix2:
 
 
 def sigma_matrix(model: ModelParams, n: float, variant: str = "symmetric",
-                 k_max: int = 5, trunc: Truncation = _DEFAULT_TRUNC) -> SymMatrix2:
+                 k_max: int = 5) -> SymMatrix2:
     """Asymptotic covariance matrix of (size, KPL) scaled by n.
 
     symmetric: n [[F[g1], F[g2]], [F[g2], F[g3]]], p = 1/2 only.
@@ -478,7 +447,7 @@ def sigma_matrix(model: ModelParams, n: float, variant: str = "symmetric",
         raise VariantUnavailable(
             "asymptotic covariance matrix needs g1/g3 coefficients, "
             "implemented only for p = 1/2")
-    c1, c2, c3 = _sym_triple(k_max, trunc)
+    c1, c2, c3 = (sym_coeffs(f, k_max) for f in ("g1", "g2", "g3"))
     a = n * fluct_eval(c1, n)
     b = n * fluct_eval(c2, n)
     c = n * fluct_eval(c3, n)

@@ -7,8 +7,8 @@ config.  Outputs are staged to a temp file and atomically renamed; nothing
 partial is ever left at the target path.
 
 Exit codes: 0 success, 2 usage/validation, 3 numeric failure
-(truncation/positive-definiteness/guards/floating-point overflow), 4 I/O
-failure.
+(series not converged/positive-definiteness/guards/floating-point
+overflow), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -97,10 +97,9 @@ def _cmd_exact(args) -> str:
 
 def _cmd_asym(args) -> str:
     model = asym.params(args.p, _parse_ratio(args))
-    trunc = asym.Truncation(ell_max=args.lmax, j_max=args.jmax)
     cfg = {"command": "asym", "p": args.p, "kmax": args.kmax,
-           "lmax": args.lmax, "jmax": args.jmax, "points": args.points,
-           "emit_F": args.emit_F, "format": args.format,
+           "points": args.points, "emit_F": args.emit_F,
+           "format": args.format,
            "ratio": f"{model.ratio.r}/{model.ratio.l}" if model.ratio else "irrational",
            "ratio_source": model.ratio_source}
 
@@ -108,7 +107,7 @@ def _cmd_asym(args) -> str:
     if args.emit_F:
         if not symmetric:
             raise ValueError("--emit-F requires p = 0.5")
-        x, f = asym.F_profile(points=args.points, k_max=args.kmax, trunc=trunc)
+        x, f = asym.F_profile(points=args.points, k_max=args.kmax)
         lines = [_cfg_line(cfg), "log2n,F"]
         lines += [f"{float(xi)!r},{float(fi)!r}" for xi, fi in zip(x, f)]
         return "\n".join(lines) + "\n"
@@ -119,14 +118,14 @@ def _cmd_asym(args) -> str:
                            + model.q * math.log(model.q) ** 2)
                           - model.h ** 2) / model.h ** 3}
     if symmetric:
-        tabs = [asym.sym_coeffs(f, args.kmax, trunc) for f in ("g1", "g2", "g3")]
+        tabs = [asym.sym_coeffs(f, args.kmax) for f in ("g1", "g2", "g3")]
         families = [t.to_json_dict() for t in tabs]
         g10 = tabs[0].value(0).real
         g20 = tabs[1].value(0).real
         g30 = tabs[2].value(0).real
         doc["F_average"] = g20 / math.sqrt(g10 * g30)
     else:
-        cov = asym.cov_coeffs(model, args.kmax, trunc)
+        cov = asym.cov_coeffs(model, args.kmax)
         families = [cov.to_json_dict()]
         doc["g1"] = "unavailable (general p)"
         doc["g3"] = "unavailable (general p)"
@@ -282,8 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(format="json")
     sp.add_argument("--kmax", type=int, default=5)
-    sp.add_argument("--lmax", type=int, default=None)
-    sp.add_argument("--jmax", type=int, default=40)
     sp.add_argument("--ratio", default=None, help="log p/log q as r/l")
     sp.add_argument("--irrational", action="store_true")
     sp.add_argument("--emit-F", dest="emit_F", action="store_true",

@@ -19,7 +19,7 @@ class DepthGuardExceeded(TrieMomentsError):
 
 
 class GuardExceeded(TrieMomentsError):
-    """Poisson series evaluated beyond its truncation guard."""
+    """Poisson series evaluated beyond the radius its length certifies."""
 
 
 class DegenerateVariance(TrieMomentsError):
@@ -31,7 +31,7 @@ class PoleError(TrieMomentsError):
 
 
 class TruncationNotConverged(TrieMomentsError):
-    """A coefficient series tail estimate exceeds the requested tolerance."""
+    """A coefficient series stays above its tolerance up to its term cap."""
 
 
 class RatioSpecMismatch(TrieMomentsError):

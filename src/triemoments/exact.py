@@ -42,8 +42,8 @@ extended   the independent reference: the raw-moment recurrence (ES2, EK2,
            centred moments formed once in double-double from the finished
            tables, keeping ~1e-28 relative accuracy through the cancellation.
 
-The module also houses the Poisson model: truncated Poisson generating
-functions of the moment sequences, the Poissonized variances/covariance and
+The module also houses the Poisson model: Poisson generating functions
+of the finite moment sequences, the Poissonized variances/covariance and
 the two covariance toll functions.
 """
 
@@ -323,6 +323,8 @@ def compute(p: float, n_max: int, precision: str = "standard") -> MomentTable:
     # serialize byte-identically.
     q_eff = max(p, 1.0 - p)
     p_eff = 1.0 - q_eff
+    if p_eff == 0.0:
+        raise ValueError(f"p={p!r} is too close to 0: 1 - p rounds to 1")
     if precision == "standard":
         t = _compute_standard(p_eff, q_eff, n_max)
         for name, (raw, a, b) in _CENTRED.items():
@@ -341,7 +343,7 @@ def compute(p: float, n_max: int, precision: str = "standard") -> MomentTable:
 
 def _guard_from_length(n_terms: int) -> float:
     # largest z with z + 12 sqrt(z) + 50 <= N: the Poisson(z) mass beyond
-    # 12 sigma + 50 makes the truncated tail < 1e-12 for any polynomially
+    # 12 sigma + 50 makes the dropped tail < 1e-12 for any polynomially
     # bounded moment sequence.
     nn = n_terms - 1
     if nn <= 50:
@@ -352,7 +354,7 @@ def _guard_from_length(n_terms: int) -> float:
 
 @dataclass(frozen=True)
 class PoissonSeries:
-    """A truncated Poisson generating function e^-z sum m_n z^n / n!."""
+    """A Poisson generating function e^-z sum m_n z^n / n! over finite m_n."""
 
     coef: np.ndarray
     guard_z: float
@@ -396,11 +398,6 @@ class PoissonSeries:
             im_parts.append(v.imag)
             term *= zc / (i + 1)
         return cmath.exp(-zc) * complex(math.fsum(re_parts), math.fsum(im_parts))
-
-
-def poisson_eval(series: PoissonSeries, z, derivative: int = 0):
-    """Evaluate a PoissonSeries (functional form of PoissonSeries.eval)."""
-    return series.eval(z, derivative)
 
 
 class PoissonModel:

@@ -245,9 +245,6 @@ class WhitenReport:
     ex_kurtosis: tuple
     edf_distance: tuple
 
-    def identity_distance(self) -> float:
-        return float(np.abs(self.whitened_cov - np.eye(2)).max())
-
     def to_json(self, extra_config: dict | None = None) -> str:
         cfg = {"n": self.n, "p": self.p, "trials": self.trials,
                "seed": self.seed, "source": self.source}

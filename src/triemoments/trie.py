@@ -14,7 +14,7 @@ explicit key prefixes and constructs the trie; ``sample_shape`` draws the
 same joint law directly by recursive binomial splitting of subtree sizes,
 in O(size) time and without storing keys.  Both are deterministic given
 their seed; per-trial streams for Monte-Carlo use are derived from a master
-seed with counter-based jumps (see ``trial_rng``).
+seed by counter addressing (see ``trial_rng``).
 """
 
 from __future__ import annotations
@@ -147,11 +147,14 @@ def _check_p(p: float):
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Independent per-trial stream: Philox keyed by ``seed``, jumped by trial."""
-    bg = np.random.Philox(key=seed & ((1 << 128) - 1))
-    if trial:
-        bg = bg.jumped(trial)
-    return np.random.Generator(bg)
+    """Independent per-trial stream: Philox keyed by seed, counter block trial.
+
+    The counter ``trial << 128`` is the state ``Philox(key).jumped(trial)``
+    reaches (a jump adds to the upper 128 counter bits), set directly.
+    Trials outside [0, 2**128) raise ValueError instead of wrapping.
+    """
+    return np.random.Generator(np.random.Philox(
+        key=seed & ((1 << 128) - 1), counter=trial << 128))
 
 
 def sample_keys(n: int, p: float, seed: int | None = None, prefix_len: int = 64,

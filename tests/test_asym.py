@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 from conftest import assert_close
 from triemoments import (IRRATIONAL, NotPositiveDefinite, RatioSpec,
-                         RatioSpecMismatch, SymMatrix2, Truncation,
+                         RatioSpecMismatch, SymMatrix2,
                          TruncationNotConverged, VariantUnavailable, F_of_n,
                          F_profile, cov_coeffs, detect_ratio, fluct_eval,
                          g1_sym, g2_general, g2_sym, g3_sym, invsqrt2, params,
@@ -22,6 +23,33 @@ F_AVG = 0.9272416035045288337489314
 G1_1 = complex(5.07885302961e-7, -6.74665294887e-7)
 G2_1 = complex(-7.42056037053e-6, 4.0270803771e-6)
 G3_1 = complex(-1.69634400863e-5, 7.07348829922e-6)
+
+
+def _g2_0_mpmath(p: float, dps: int = 30) -> float:
+    """g2_0 for irrational log p/log q, summed directly in mpmath.
+
+    At k = 0 the gamma factors reduce to rationals: the leading term is
+    (log 2 - 1/2)/h, the digamma term -(1 - (p log^2 p + q log^2 q)/(2h))/h^2
+    and Gamma(ell - 1)/ell! = 1/(ell (ell - 1)) in the ell series.
+    """
+    with mp.workdps(dps):
+        P = mpf(p)
+        Q = 1 - P
+        lp, lq = mp.log(P), mp.log(Q)
+        h = -(P * lp + Q * lq)
+        lead = (mp.log(2) - mpf(1) / 2) / h
+        digamma = -(1 - (P * lp ** 2 + Q * lq ** 2) / (2 * h)) / h ** 2
+        tol = mpf(10) ** -dps
+        total, pl, ql, ell = mpf(0), P, Q, 1
+        while True:
+            ell += 1
+            pl *= P
+            ql *= Q
+            t = ((-1) ** ell * (pl + ql) / (1 - pl - ql)
+                 * (2 * ell * ell - 2 * ell + 1) / (ell * (ell - 1)))
+            total += t
+            if abs(t) < tol:
+                return float(lead + digamma + total / h)
 
 
 class TestParams:
@@ -129,8 +157,20 @@ class TestGeneralCovariance:
             g2_general(params(0.3), 1)
 
     def test_truncation_error_raised(self):
+        # the ell series decays like 0.999999^ell: past the term cap
         with pytest.raises(TruncationNotConverged):
-            g2_general(params(0.3), 0, Truncation(ell_max=10))
+            g2_general(params(0.999999), 0)
+
+    @pytest.mark.parametrize("p", [0.02, 0.98, 0.99, 0.999])
+    def test_k0_matches_mpmath_near_endpoints(self, p):
+        # the slowly decaying tails at skewed p (tens of thousands of terms
+        # at 0.999) are summed to convergence and keep their accuracy
+        model = params(p)
+        assert not model.rational
+        want = _g2_0_mpmath(p)
+        got = g2_general(model, 0)
+        assert got.imag == 0.0
+        assert_close(got.real, want, rtol=1e-13, msg=f"g2_0 at p={p}")
 
     def test_symmetric_under_p_swap(self):
         a = g2_general(params(0.3), 0).real

@@ -118,6 +118,18 @@ class TestAsym:
         assert code == 3
         assert "numeric error" in err
 
+    @pytest.mark.parametrize("p", ["0.98", "0.9995"])
+    def test_skewed_p_converges(self, capsys, p):
+        code, out, _ = run_cli(["asym", "--p", p], capsys)
+        assert code == 0
+        assert json.loads(out)["families"][0]["coefficients"][0]["re"] > 0.0
+
+    def test_series_caps_are_not_flags(self, capsys):
+        for flag in ("--lmax", "--jmax"):
+            code, _, err = run_cli(["asym", "--p", "0.5", flag, "100"], capsys)
+            assert code == 2
+            assert flag in err
+
     def test_ratio_flag(self, capsys):
         code, out, _ = run_cli(["asym", "--p", "0.5", "--ratio", "1/1"], capsys)
         assert json.loads(out)["config"]["ratio_source"] == "supplied"
@@ -246,7 +258,10 @@ def test_console_entry_point():
     ["whiten", "--p", "0.5", "--n", "16", "--trials", "1"],
     ["hist", "--p", "0.5", "--n", "16", "--trials", "0"],
     ["hist", "--p", "0.5", "--n", "16", "--trials", "1"],
+    ["asym", "--p", "0.9996"],
     ["asym", "--p", "0.999999"],
+    ["exact", "--p", "1e-17", "--nmax", "8"],
+    ["exact", "--p", "5e-17", "--nmax", "8", "--precision", "extended"],
 ], ids=" ".join)
 def test_bad_input_fails_fast(args):
     # each input must end in a documented exit code, not a traceback or a

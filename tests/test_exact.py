@@ -117,6 +117,11 @@ def test_precondition_validation():
         compute(0.5, 1)
     with pytest.raises(ValueError):
         compute(0.5, 16, "quad")
+    # 1 - p rounds to 1, so the split weights would lose p altogether
+    for p in (1e-17, 5e-17):
+        for precision in ("standard", "extended"):
+            with pytest.raises(ValueError, match=f"p={p!r}"):
+                compute(p, 8, precision)
 
 
 def test_csv_round_trip_values():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import table
-from triemoments import GuardExceeded, poisson_eval
+from triemoments import GuardExceeded
 from triemoments.exact import PoissonModel, PoissonSeries
 
 Z_GRID = (1.0, 2.0, 3.7, 5.0, 8.0, 12.0, 16.0, 20.0)
@@ -44,11 +44,6 @@ def test_poisson_eval_known_series():
     for z in (1.0, 5.0, 20.0):
         assert abs(s.eval(z) - z) < 1e-12 * z
         assert abs(s.eval(z, 1) - 1.0) < 1e-12
-
-
-def test_poisson_eval_function_form():
-    s = PoissonSeries.from_moments(np.arange(200.0))
-    assert poisson_eval(s, 2.0) == s.eval(2.0)
 
 
 def test_derivative_matches_finite_difference(model_03):

@@ -184,3 +184,18 @@ def test_samplers_share_law_small_n():
     for j, name in enumerate("SKN"):
         se = math.sqrt(a[:, j].var() / trials + b[:, j].var() / trials)
         assert abs(a[:, j].mean() - b[:, j].mean()) < 4 * se, name
+
+
+@pytest.mark.parametrize("t", [0, 1, 1024, 2**64 - 1, 2**64])
+def test_trial_rng_is_the_jumped_stream(t):
+    # the counter-addressed stream must equal Philox(key).jumped(t), the
+    # stream every recorded Monte-Carlo result was drawn from
+    seed = 987654321
+    ref = np.random.Philox(key=seed)
+    if t:
+        ref = ref.jumped(t)
+    got = trial_rng(seed, t).bit_generator
+    for part in ("counter", "key"):
+        np.testing.assert_array_equal(got.state["state"][part],
+                                      ref.state["state"][part])
+    assert got.random_raw(8).tolist() == ref.random_raw(8).tolist()
