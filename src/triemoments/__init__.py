@@ -24,7 +24,7 @@ from .gammafn import cdigamma, cgamma
 from .mc import (JointHistogram, NormalityReport, SampleSummary, WhitenReport,
                  joint_histogram, normality_report, run, whiten)
 from .trie import (Key, ShapeStats, Trie, build_trie, sample_keys,
-                   sample_shape, shape_stats, trial_rng)
+                   sample_shape, sample_shapes, shape_stats, trial_rng)
 
 __version__ = "0.1.0"
 
@@ -41,6 +41,6 @@ __all__ = [
     "JointHistogram", "NormalityReport", "SampleSummary", "WhitenReport",
     "joint_histogram", "normality_report", "run", "whiten",
     "Key", "ShapeStats", "Trie", "build_trie", "sample_keys", "sample_shape",
-    "shape_stats", "trial_rng",
+    "sample_shapes", "shape_stats", "trial_rng",
     "__version__",
 ]

@@ -112,6 +112,8 @@ def params(p: float, ratio_spec: RatioSpec | str | None = None) -> ModelParams:
     if not (0.0 < p < 1.0):
         raise ValueError("p must be in (0,1)")
     q = 1.0 - p
+    if q == 1.0:
+        raise ValueError(f"p={p!r} is too close to 0: 1 - p rounds to 1")
     lp, lq = math.log(p), math.log(q)
     h = -(p * lp + q * lq)
     lam = p * q * (lp - lq) ** 2 / h ** 3

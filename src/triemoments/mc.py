@@ -1,12 +1,16 @@
 """Monte-Carlo estimation of trie shape moments, whitening and diagnostics.
 
-Trials are independent units of work.  Trial t draws from its own
-counter-derived RNG stream (``trie.trial_rng``), so sample t is the same
-however the trials are grouped: ``run`` draws them serially in chunks of
-consecutive trials, reduces each chunk to a moment accumulator and merges
-the accumulators in trial order.
+Trials are drawn in batches of G(n) = clamp(2**15 // n, 1, 1024) consecutive
+trials, so a batch holds about 2**15 keys, bounding its memory.  Batch b covers
+trials [b*G, (b+1)*G) and draws all of them with one ``trie.sample_shapes``
+call from its own counter-derived stream ``trie.trial_rng(seed, b)``.  The
+batch is the stream unit: a sample matrix of k*G trials is a prefix of any
+longer one with the same seed, and a last, shorter batch is drawn with
+fewer tries from its stream.  ``run`` and ``sample_matrix`` share the batch
+loop; ``run`` reduces each batch to a moment accumulator and merges the
+accumulators in trial order.
 
-``run`` streams: memory is bounded by the chunk size.  ``whiten``,
+``run`` streams: memory is bounded by the batch size.  ``whiten``,
 ``joint_histogram`` and ``normality_report`` keep the per-trial matrix
 (trials x 3 int64) because sorting-based diagnostics need it.
 """
@@ -22,9 +26,10 @@ import numpy as np
 from . import asym, exact
 from .asym import SymMatrix2, invsqrt2
 from .errors import DegenerateVariance, NotPositiveDefinite
-from .trie import sample_shape, trial_rng
+from .trie import sample_shapes, trial_rng
 
-_CHUNK = 1024
+_BATCH_KEYS = 2 ** 15
+_MAX_BATCH = 1024
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -32,21 +37,27 @@ _SQRT2 = math.sqrt(2.0)
 # sampling
 # ---------------------------------------------------------------------------
 
-def _sample_chunk(n: int, p: float, seed: int, start: int, count: int) -> np.ndarray:
-    out = np.empty((count, 3), dtype=np.int64)
-    for i in range(count):
-        st = sample_shape(n, p, rng=trial_rng(seed, start + i))
-        out[i, 0] = st.size
-        out[i, 1] = st.kpl
-        out[i, 2] = st.npl
-    return out
+def _batch_size(n: int) -> int:
+    """Trials per batch, G(n) = clamp(2**15 // n, 1, 1024)."""
+    return min(max(_BATCH_KEYS // max(n, 1), 1), _MAX_BATCH)
+
+
+def _batches(n: int, p: float, trials: int, seed: int):
+    """Yield (first trial, (count, 3) rows of S, K, N) batch by batch."""
+    g = _batch_size(n)
+    for b, start in enumerate(range(0, trials, g)):
+        rows = sample_shapes(n, p, min(g, trials - start), trial_rng(seed, b))
+        yield start, rows[:, :3]
 
 
 def sample_matrix(n: int, p: float, trials: int, seed: int) -> np.ndarray:
     """(trials, 3) matrix of (S, K, N) samples, deterministic per seed."""
     if trials < 2:
         raise ValueError("trials must be >= 2")
-    return _sample_chunk(n, p, seed, 0, trials)
+    out = np.empty((trials, 3), dtype=np.int64)
+    for start, x in _batches(n, p, trials, seed):
+        out[start:start + len(x)] = x
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +158,7 @@ def run(n: int, p: float, trials: int, seed: int = 0,
     if trials < 100:
         raise ValueError("trials must be >= 100")
     acc = None
-    for start in range(0, trials, _CHUNK):
-        x = _sample_chunk(n, p, seed, start, min(_CHUNK, trials - start))
+    for start, x in _batches(n, p, trials, seed):
         part = _MomentAcc.from_samples(x)
         acc = part if acc is None else acc.merge(part)
         if raw_dump is not None:

@@ -10,11 +10,12 @@ here are
 * ``height`` -- maximal external-node depth.
 
 Two samplers are provided.  ``sample_keys`` + ``build_trie`` materialises
-explicit key prefixes and constructs the trie; ``sample_shape`` draws the
-same joint law directly by recursive binomial splitting of subtree sizes,
-in O(size) time and without storing keys.  Both are deterministic given
-their seed; per-trial streams for Monte-Carlo use are derived from a master
-seed by counter addressing (see ``trial_rng``).
+explicit key prefixes and constructs the trie; ``sample_shapes`` draws the
+same joint law for a batch of independent tries directly, by binomial
+splitting of subtree sizes level by level, in O(size) time per trie and
+without storing keys (``sample_shape`` is a batch of one).  Both are
+deterministic given their Generator; Monte-Carlo streams are derived from a
+master seed by counter addressing (see ``trial_rng``), one per batch.
 """
 
 from __future__ import annotations
@@ -144,14 +145,17 @@ def shape_stats(trie: Trie) -> ShapeStats:
 def _check_p(p: float):
     if not (0.0 < p < 1.0):
         raise ValueError("p must be in (0,1)")
+    if 1.0 - p == 1.0:
+        raise ValueError(f"p={p!r} is too close to 0: 1 - p rounds to 1")
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Independent per-trial stream: Philox keyed by seed, counter block trial.
+    """Independent stream ``trial``: Philox keyed by seed, counter block trial.
 
-    The counter ``trial << 128`` is the state ``Philox(key).jumped(trial)``
-    reaches (a jump adds to the upper 128 counter bits), set directly.
-    Trials outside [0, 2**128) raise ValueError instead of wrapping.
+    Monte-Carlo batch b draws from ``trial_rng(seed, b)``.  The counter
+    ``trial << 128`` is the state ``Philox(key).jumped(trial)`` reaches (a
+    jump adds to the upper 128 counter bits), set directly.  Stream numbers
+    outside [0, 2**128) raise ValueError instead of wrapping.
     """
     return np.random.Generator(np.random.Philox(
         key=seed & ((1 << 128) - 1), counter=trial << 128))
@@ -175,44 +179,74 @@ def sample_keys(n: int, p: float, seed: int | None = None, prefix_len: int = 64,
             for i in range(n)]
 
 
-def sample_shape(n: int, p: float, seed: int | None = None,
-                 max_depth: int | None = None,
-                 rng: np.random.Generator | None = None) -> ShapeStats:
-    """Sample ShapeStats with the exact law of a random trie.
+def sample_shapes(n: int, p: float, count: int, rng: np.random.Generator,
+                  max_depth: int | None = None) -> np.ndarray:
+    """Sample ``count`` independent tries of n keys with the exact trie law.
 
-    Level-synchronous binomial splitting: all subtree sizes at one depth are
-    split with a single vectorised binomial draw, children ordered as
-    [left-block, right-block].  Given the same seed (or Generator state) the
-    result is bitwise reproducible.
+    Returns a (count, 4) int64 array with columns size, kpl, npl, height.
+    Level-synchronous binomial splitting of every trie at once: the subtree
+    sizes of all tries at one depth are split by a single vectorised
+    binomial draw.  Each trie's nodes stay contiguous, with the children of
+    a node interleaved left then right, so a trie's share of a level is
+    found from cumulative counts at the trie boundaries.  The path lengths
+    use K = sum over internal nodes of their key counts (a key's depth is
+    its number of internal ancestors), and a trie's height is the number of
+    depths at which it has an internal node.  Given the same Generator state
+    the result is bitwise reproducible.
     """
     _check_p(p)
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n <= 1:
-        return ShapeStats(n, 0, 0, 0, 0)
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    if n <= 1 or count == 0:
+        return np.zeros((count, 4), dtype=np.int64)
     if max_depth is None:
         max_depth = _default_max_depth(n, p)
     elif max_depth < 64:
         raise ValueError("max_depth must be >= 64")
-    if rng is None:
-        rng = trial_rng(0 if seed is None else seed, 0)
-
-    size = kpl = npl = height = 0
-    active = np.array([n], dtype=np.int64)
+    active = np.full(count, n, dtype=np.int64)   # keys under each internal node
+    # ends[t]: internal nodes of tries 0..t at this depth, so trie t owns
+    # active[ends[t-1]:ends[t]] and children[2*ends[t-1]:2*ends[t]].  Each
+    # depth records ends and the keys under those nodes, both cumulative
+    # over t; a trie's totals are the differences between t-1 and t.
+    ends = np.arange(1, count + 1)
+    level_ends, level_keys = [], []
     d = 0
     while active.size:
         if d > max_depth:
             raise DepthGuardExceeded(
                 f"splitting recursion past depth {max_depth} at n={n}, p={p}")
-        m = active.size
-        size += m
-        npl += d * m
-        b = rng.binomial(active, p)
-        children = np.concatenate([b, active - b])
-        ones = int(np.count_nonzero(children == 1))
-        if ones:
-            kpl += (d + 1) * ones
-            height = d + 1
-        active = children[children >= 2]
+        children = np.empty(2 * active.size, dtype=np.int64)
+        left = children[0::2]
+        left[:] = rng.binomial(active, p)
+        np.subtract(active, left, out=children[1::2])
+        keys = np.zeros(active.size + 1, dtype=np.int64)
+        np.cumsum(active, out=keys[1:])
+        level_ends.append(ends)
+        level_keys.append(keys[ends])
+        kept = np.flatnonzero(children >= 2)
+        active = children.take(kept)
+        ends = np.searchsorted(kept, 2 * ends)
         d += 1
+    nodes = np.diff(level_ends, axis=1, prepend=0)   # (depth, count)
+    out = np.empty((count, 4), dtype=np.int64)
+    out[:, 0] = nodes.sum(axis=0)
+    out[:, 1] = np.diff(np.sum(level_keys, axis=0), prepend=0)
+    out[:, 2] = np.arange(d) @ nodes
+    out[:, 3] = np.count_nonzero(nodes, axis=0)
+    return out
+
+
+def sample_shape(n: int, p: float, seed: int | None = None,
+                 max_depth: int | None = None,
+                 rng: np.random.Generator | None = None) -> ShapeStats:
+    """One trie's ShapeStats: ``sample_shapes`` with a batch of one.
+
+    Without ``rng`` the draw comes from ``trial_rng(seed, 0)`` (seed 0 when
+    None), so it is reproducible per seed.
+    """
+    if rng is None:
+        rng = trial_rng(0 if seed is None else seed, 0)
+    size, kpl, npl, height = sample_shapes(n, p, 1, rng, max_depth)[0]
     return ShapeStats(n, int(size), int(kpl), int(npl), int(height))

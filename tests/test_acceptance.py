@@ -12,10 +12,11 @@ import numpy as np
 from conftest import table
 from triemoments import (F_profile, build_trie, cdigamma, cgamma, fluct_eval,
                          g1_sym, g2_general, g2_sym, g3_sym, invsqrt2, params,
-                         sample_keys, sample_shape, shape_stats, sqrt2,
-                         sym_coeffs, trial_rng, whiten, SymMatrix2)
+                         sample_keys, shape_stats, sqrt2, sym_coeffs,
+                         trial_rng, whiten, SymMatrix2)
 from triemoments.exact import PoissonModel
 from triemoments.gammafn import EULER_GAMMA
+from triemoments.mc import sample_matrix
 
 LN2 = math.log(2.0)
 F_AVG = 0.9272416035
@@ -144,17 +145,15 @@ def test_criterion_10_poisson_residuals(table_03, table_05):
 
 
 def test_criterion_11_sampler_law_equivalence():
-    # splitting sampler vs explicit-key construction, p = 0.3, 1e5 trials
+    # the batched splitting sampler the CLI uses vs explicit-key
+    # construction, p = 0.3, 1e5 trials
     p = 0.3
     trials = 100_000
     ok = True
     msgs = []
     for n in (2, 3, 4, 5, 6, 7, 8, 64):
-        a = np.empty((trials, 3))
+        a = sample_matrix(n, p, trials, seed=1000 + n).astype(np.float64)
         b = np.empty((trials, 3))
-        for t in range(trials):
-            st = sample_shape(n, p, rng=trial_rng(1000 + n, t))
-            a[t] = (st.size, st.kpl, st.npl)
         for t in range(trials):
             keys = sample_keys(n, p, rng=trial_rng(5000 + n, t))
             st = shape_stats(build_trie(keys))

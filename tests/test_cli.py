@@ -251,25 +251,32 @@ def test_console_entry_point():
     assert proc.stdout.startswith("# config:")
 
 
-@pytest.mark.parametrize("args", [
-    ["asym", "--p", "0.5", "--kmax", "-1"],
-    ["asym", "--p", "0.3", "--kmax", "-1"],
-    ["whiten", "--p", "0.5", "--n", "16", "--trials", "0"],
-    ["whiten", "--p", "0.5", "--n", "16", "--trials", "1"],
-    ["hist", "--p", "0.5", "--n", "16", "--trials", "0"],
-    ["hist", "--p", "0.5", "--n", "16", "--trials", "1"],
-    ["asym", "--p", "0.9996"],
-    ["asym", "--p", "0.999999"],
-    ["exact", "--p", "1e-17", "--nmax", "8"],
-    ["exact", "--p", "5e-17", "--nmax", "8", "--precision", "extended"],
-], ids=" ".join)
-def test_bad_input_fails_fast(args):
-    # each input must end in a documented exit code, not a traceback or a
-    # minutes-long loop
+BAD_INPUT = [  # (arguments, exit code)
+    (["asym", "--p", "0.5", "--kmax", "-1"], 2),
+    (["asym", "--p", "0.3", "--kmax", "-1"], 2),
+    (["whiten", "--p", "0.5", "--n", "16", "--trials", "0"], 2),
+    (["whiten", "--p", "0.5", "--n", "16", "--trials", "1"], 2),
+    (["hist", "--p", "0.5", "--n", "16", "--trials", "0"], 2),
+    (["hist", "--p", "0.5", "--n", "16", "--trials", "1"], 2),
+    (["asym", "--p", "0.9996"], 3),
+    (["asym", "--p", "0.999999"], 3),
+    (["exact", "--p", "1e-17", "--nmax", "8"], 2),
+    (["exact", "--p", "5e-17", "--nmax", "8", "--precision", "extended"], 2),
+    (["simulate", "--p", "1e-17", "--n", "16", "--trials", "200"], 2),
+    (["asym", "--p", "1e-17"], 2),
+    (["compare", "--p", "1e-17"], 2),
+]
+
+
+@pytest.mark.parametrize("args, code", [pytest.param(a, c, id=" ".join(a))
+                                        for a, c in BAD_INPUT])
+def test_bad_input_fails_fast(args, code):
+    # each input must end in its documented exit code (2 usage, 3 numeric),
+    # not a traceback or a minutes-long loop
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "triemoments.cli"] + args,
                           capture_output=True, text=True, timeout=60)
     elapsed = time.perf_counter() - start
-    assert proc.returncode in (2, 3), proc.stderr
+    assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert elapsed < 10.0

@@ -8,9 +8,9 @@ from conftest import assert_close, table, two_key_oracle
 from triemoments import (DegenerateVariance, NotPositiveDefinite, run, whiten,
                          joint_histogram, normality_report)
 from triemoments.exact import compute as exact_compute
-from triemoments.mc import (_MomentAcc, ks_normal, marginal_diagnostics,
-                            sample_matrix)
-from triemoments.trie import sample_shape, trial_rng
+from triemoments.mc import (_MomentAcc, _batch_size, ks_normal,
+                            marginal_diagnostics, sample_matrix)
+from triemoments.trie import sample_shapes, trial_rng
 
 
 class TestAccumulator:
@@ -199,12 +199,16 @@ class TestHistogram:
 
 
 def test_sample_matrix_chunk_invariance():
-    # row t is drawn from trial t's own stream, so grouping trials into
-    # chunks (boundaries at multiples of 1024) never changes a sample
-    x = sample_matrix(32, 0.4, 2100, seed=3)
-    for t in (0, 1023, 1024, 2047, 2048, 2099):
-        st = sample_shape(32, 0.4, rng=trial_rng(3, t))
-        assert list(x[t]) == [st.size, st.kpl, st.npl], t
+    # batch b holds trials [b*G, (b+1)*G) and draws them together from
+    # stream b, so a whole number of batches is a prefix of any longer
+    # sample; G = 1024 at n = 32 and 327 at n = 100
+    for n in (32, 100):
+        g = _batch_size(n)
+        x = sample_matrix(n, 0.4, 2 * g + 5, seed=3)
+        for b, count in ((0, g), (1, g), (2, 5)):
+            want = sample_shapes(n, 0.4, count, trial_rng(3, b))[:, :3]
+            assert np.array_equal(x[b * g:b * g + count], want), (n, b)
+        assert np.array_equal(sample_matrix(n, 0.4, 2 * g, seed=3), x[:2 * g])
 
 
 def test_sample_matrix_trials_floor():

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import assert_close, two_key_oracle
 from triemoments import (DepthGuardExceeded, Key, KeyExhausted, build_trie,
-                         sample_keys, sample_shape, shape_stats, trial_rng)
+                         sample_keys, sample_shape, sample_shapes, shape_stats,
+                         trial_rng)
 
 # the seven records of the worked example; the last string is adjusted to
 # match the drawn split structure (the printed figure string branches one
@@ -166,6 +168,33 @@ class TestSampleShape:
     def test_invalid_p(self):
         with pytest.raises(ValueError):
             sample_shape(5, -0.1, seed=0)
+        with pytest.raises(ValueError, match="1e-17"):
+            sample_shape(5, 1e-17, seed=0)
+
+    def test_is_a_batch_of_one(self):
+        for n, p in ((2, 0.5), (16, 0.5), (300, 0.1)):
+            for t in range(5):
+                one = sample_shape(n, p, rng=trial_rng(41, t))
+                row = sample_shapes(n, p, 1, trial_rng(41, t))[0]
+                assert [one.size, one.kpl, one.npl, one.height] == list(row)
+        one = sample_shape(16, 0.3, seed=6)
+        assert one == sample_shape(16, 0.3, rng=trial_rng(6, 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 300), p=st.floats(0.02, 0.98),
+       count=st.integers(1, 40), seed=st.integers(0, 2**64 - 1))
+def test_sample_shapes_invariants(n, p, count, seed):
+    # every row is a trie over n keys: at least n - 1 binary branchings and
+    # a depth that can hold n leaves; two keys hang off a unary path
+    x = sample_shapes(n, p, count, trial_rng(seed, 0))
+    assert x.shape == (count, 4) and x.dtype == np.int64
+    size, kpl, npl, height = x.T
+    assert (size >= n - 1).all()
+    assert (height >= math.ceil(math.log2(n))).all()
+    y = sample_shapes(2, p, count, trial_rng(seed, 1))
+    assert (y[:, 1] == 2 * y[:, 0]).all()
+    assert (y[:, 3] == y[:, 0]).all()
 
 
 def test_samplers_share_law_small_n():
