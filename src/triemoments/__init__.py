@@ -21,8 +21,8 @@ from .errors import (DegenerateVariance, DepthGuardExceeded, GuardExceeded,
                      TruncationNotConverged, VariantUnavailable)
 from .exact import MomentTable, PoissonModel, PoissonSeries, compute
 from .gammafn import cdigamma, cgamma
-from .mc import (JointHistogram, NormalityReport, SampleSummary, WhitenReport,
-                 joint_histogram, normality_report, run, whiten)
+from .mc import (JointHistogram, SampleSummary, WhitenReport, joint_histogram,
+                 run, whiten)
 from .trie import (Key, ShapeStats, Trie, build_trie, sample_keys,
                    sample_shape, sample_shapes, shape_stats, trial_rng)
 
@@ -38,8 +38,8 @@ __all__ = [
     "TrieMomentsError", "TruncationNotConverged", "VariantUnavailable",
     "MomentTable", "PoissonModel", "PoissonSeries", "compute",
     "cdigamma", "cgamma",
-    "JointHistogram", "NormalityReport", "SampleSummary", "WhitenReport",
-    "joint_histogram", "normality_report", "run", "whiten",
+    "JointHistogram", "SampleSummary", "WhitenReport", "joint_histogram",
+    "run", "whiten",
     "Key", "ShapeStats", "Trie", "build_trie", "sample_keys", "sample_shape",
     "sample_shapes", "shape_stats", "trial_rng",
     "__version__",

@@ -40,6 +40,7 @@ import numpy as np
 
 from .errors import (NotPositiveDefinite, RatioSpecMismatch,
                      TruncationNotConverged, VariantUnavailable)
+from .exact import _canonical
 from .gammafn import EULER_GAMMA, cdigamma, cgamma
 
 LN2 = math.log(2.0)
@@ -69,14 +70,17 @@ IRRATIONAL = "irrational"
 def detect_ratio(p: float, max_den: int = 64) -> RatioSpec | None:
     """Continued-fraction heuristic for log p/log q; None means irrational.
 
-    A convergent r/l with denominator <= max_den is proposed only when it
-    matches to |r log q - l log p| < 1e-12 |log p|.  The dichotomy is
-    numerically undecidable; an explicit ratio_spec always wins.
+    A convergent r/l with numerator and denominator <= max_den is proposed
+    only when it matches to |r log q - l log p| < 1e-12 |log p|.  The
+    dichotomy is numerically undecidable; an explicit ratio_spec always
+    wins.
     """
     lp, lq = math.log(p), math.log(1.0 - p)
     frac = Fraction(lp / lq).limit_denominator(max_den)
     r, l = frac.numerator, frac.denominator
-    if r <= 0:
+    # limit_denominator bounds l only; near p = 0 or 1 the ratio is huge and
+    # a huge r would make chi_k, and with it the gamma factors, overflow
+    if not 0 < r <= max_den:
         return None
     if abs(r * lq - l * lp) < 1e-12 * abs(lp):
         return RatioSpec(r, l)
@@ -85,12 +89,18 @@ def detect_ratio(p: float, max_den: int = 64) -> RatioSpec | None:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Bernoulli source parameters and derived constants."""
+    """Bernoulli source parameters and derived constants.
+
+    p, q and ratio are as given (log p / log q = r/l); h, lam, lam_alt,
+    chi_k and the g2 series are formed from the canonical pair (p_c, q_c)
+    that p and 1 - p share, so both give bit-identical coefficients.
+    """
 
     p: float
     q: float
     h: float            # entropy in nats
     lam: float          # leading constant of Var(KPL)/(n log n)
+    lam_alt: float      # the same constant by its second algebraic form
     ratio: RatioSpec | None
     ratio_source: str   # "supplied" | "detected" | "forced-irrational"
 
@@ -104,35 +114,43 @@ class ModelParams:
             return 0j
         if self.ratio is None:
             raise ValueError("nonzero harmonics undefined for irrational ratio")
-        return 2j * math.pi * self.ratio.r * k / math.log(1.0 / self.p)
+        p_c, _ = _canonical(self.p)
+        # r of log p_c / log q_c: the given ratio, flipped when p_c is 1 - p
+        r = self.ratio.l if self.p > 0.5 else self.ratio.r
+        return 2j * math.pi * r * k / math.log(1.0 / p_c)
 
 
 def params(p: float, ratio_spec: RatioSpec | str | None = None) -> ModelParams:
     """Build ModelParams, cross-checking both algebraic forms of lambda."""
     if not (0.0 < p < 1.0):
         raise ValueError("p must be in (0,1)")
-    q = 1.0 - p
-    if q == 1.0:
+    p_c, q_c = _canonical(p)
+    if p_c == 0.0:
         raise ValueError(f"p={p!r} is too close to 0: 1 - p rounds to 1")
-    lp, lq = math.log(p), math.log(q)
-    h = -(p * lp + q * lq)
-    lam = p * q * (lp - lq) ** 2 / h ** 3
-    lam_alt = ((p * lp * lp + q * lq * lq) - h * h) / h ** 3
+    lp, lq = math.log(p_c), math.log(q_c)
+    h = -(p_c * lp + q_c * lq)
+    lam = p_c * q_c * (lp - lq) ** 2 / h ** 3
+    lam_alt = ((p_c * lp * lp + q_c * lq * lq) - h * h) / h ** 3
     if abs(lam - lam_alt) > 1e-13 * max(abs(lam), abs(lam_alt), 1e-3):
         raise ArithmeticError(
             f"lambda forms disagree: {lam!r} vs {lam_alt!r}")
+    swapped = p > 0.5           # p_c is 1 - p: flip ratios between the two
     if ratio_spec == IRRATIONAL:
         ratio, source = None, "forced-irrational"
     elif isinstance(ratio_spec, RatioSpec):
-        if abs(ratio_spec.r * lq - ratio_spec.l * lp) >= 1e-12 * abs(lp):
-            raise RatioSpecMismatch(
-                f"log p/log q != {ratio_spec.r}/{ratio_spec.l} at p={p}")
+        lp_in, lq_in = (lq, lp) if swapped else (lp, lq)
+        r, l = ratio_spec.r, ratio_spec.l
+        if abs(r * lq_in - l * lp_in) >= 1e-12 * abs(lp_in):
+            raise RatioSpecMismatch(f"log p/log q != {r}/{l} at p={p}")
         ratio, source = ratio_spec, "supplied"
     elif ratio_spec is None:
-        ratio, source = detect_ratio(p), "detected"
+        ratio, source = detect_ratio(p_c), "detected"
+        if ratio is not None and swapped:
+            ratio = RatioSpec(ratio.l, ratio.r)
     else:
         raise ValueError("ratio_spec must be RatioSpec, 'irrational' or None")
-    return ModelParams(p=p, q=q, h=h, lam=lam, ratio=ratio, ratio_source=source)
+    return ModelParams(p=p, q=1.0 - p, h=h, lam=lam, lam_alt=lam_alt,
+                       ratio=ratio, ratio_source=source)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +241,8 @@ def g2_general(model: ModelParams, k: int) -> complex:
     (log 2 - 1/2)/h), the j-convolution over nonzero harmonics (rational
     case only), the digamma term, and the ell >= 2 gamma series.
     """
-    p, q, h = model.p, model.q, model.h
+    p, q = _canonical(model.p)
+    h = model.h
     if not model.rational:
         if k != 0:
             raise ValueError("only k=0 is relevant in the irrational case")
@@ -405,9 +424,6 @@ class SymMatrix2:
         out[..., 0] = self.a * xy[..., 0] + self.b * xy[..., 1]
         out[..., 1] = self.b * xy[..., 0] + self.c * xy[..., 1]
         return out
-
-    def matmul(self, other: "SymMatrix2") -> np.ndarray:
-        return self.as_array() @ other.as_array()
 
 
 def _require_pd(m: SymMatrix2):

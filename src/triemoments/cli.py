@@ -114,9 +114,7 @@ def _cmd_asym(args) -> str:
 
     families = []
     doc = {"config": cfg, "h": model.h, "lambda": model.lam,
-           "lambda_alt": ((model.p * math.log(model.p) ** 2
-                           + model.q * math.log(model.q) ** 2)
-                          - model.h ** 2) / model.h ** 3}
+           "lambda_alt": model.lam_alt}
     if symmetric:
         tabs = [asym.sym_coeffs(f, args.kmax) for f in ("g1", "g2", "g3")]
         families = [t.to_json_dict() for t in tabs]

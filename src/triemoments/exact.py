@@ -31,16 +31,20 @@ Var N consumes Cov SN and Var S).
 
 Precision modes
 ---------------
-standard   float64 centred recurrence; binomial weights by a mode-centred
-           multiplicative recurrence with renormalisation.  The linear
-           reduction is numpy's pairwise sum, the Gram matrix one BLAS
-           product, so output is byte-identical per machine and BLAS build.
-           The raw moments ES2 ... ESN are derived as Var + mean * mean.
-extended   the independent reference: the raw-moment recurrence (ES2, EK2,
-           EN2, ESK, ESN) in double-double end to end, weights maintained
-           by the exact Pascal update w'(k) = p w(k-1) + q w(k), and the
-           centred moments formed once in double-double from the finished
-           tables, keeping ~1e-28 relative accuracy through the cancellation.
+Both modes run the one centred recurrence below; they differ only in the
+dtype its weights and moments are carried in.  Binomial weights come from
+a mode-centred multiplicative recurrence with renormalisation, the linear
+reduction is numpy's pairwise sum and the Gram matrix one matmul, so
+output is byte-identical per machine and BLAS build.  The raw moments
+ES2 ... ESN are derived as Var + mean * mean in the working dtype, and
+every array is rounded to float64 once at the end.
+
+standard   float64.
+extended   long double, which needs a 64-bit significand (x86-64); with
+           11 guard bits the float64 outputs lie within 1 ulp of the
+           correctly rounded values (checked against a 50-digit mpmath DP
+           in the tests).  compute() raises ValueError where long double
+           is narrower.
 
 The module also houses the Poisson model: Poisson generating functions
 of the finite moment sequences, the Poissonized variances/covariance and
@@ -49,18 +53,19 @@ the two covariance toll functions.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dd import DD
 from .errors import DegenerateVariance, GuardExceeded
 
-_ARRAYS = ("ES", "EK", "EN", "ES2", "EK2", "EN2", "ESK", "ESN")
-_MEANS = _ARRAYS[:3]
+# The dtype of precision "extended": x86-64's 80-bit long double carries a
+# 64-bit significand, 11 bits more than float64.  Where long double is only
+# a double, compute() refuses "extended".
+_EXTENDED = np.longdouble
+_MEANS = ("ES", "EK", "EN")
 # centred second moments in within-n order, each with the raw moment and
 # the two means it is centred by: Cov(X, Y) = E(XY) - E(X) E(Y)
 _CENTRED = {"VarS": ("ES2", "ES", "ES"), "VarK": ("EK2", "EK", "EK"),
@@ -68,20 +73,33 @@ _CENTRED = {"VarS": ("ES2", "ES", "ES"), "VarK": ("EK2", "EK", "EK"),
             "VarN": ("EN2", "EN", "EN")}
 
 
-def _binom_weights(n: int, p: float, q: float) -> np.ndarray:
+def _canonical(p: float) -> tuple[float, float]:
+    """The parameter pair (p_eff, q_eff) that the inputs p and 1 - p share.
+
+    The law is invariant under p <-> q, so compute with the canonical pair:
+    q_eff = max(p, 1-p) and p_eff = 1 - q_eff (exact by Sterbenz).  Inputs p
+    and 1-p then run bit-identical arithmetic, so their tables serialize
+    byte-identically; asym.params forms its constants from the same pair.
+    """
+    q_eff = max(p, 1.0 - p)
+    return 1.0 - q_eff, q_eff
+
+
+def _binom_weights(n: int, p: float, q: float, dtype=np.float64) -> np.ndarray:
     """Binomial(n, p) pmf by multiplicative recurrence outward from the mode.
 
     The mode value is seeded in log space (no under/overflow for any n) and
     the vector is renormalised so the weights sum to 1 exactly to rounding.
+    The ratios, products and sum are formed in ``dtype``.
     """
     k0 = min(max(int((n + 1) * p), 0), n)
-    w = np.empty(n + 1)
+    w = np.empty(n + 1, dtype)
     w[k0] = 1.0
     if k0 < n:
-        ks = np.arange(k0, n, dtype=np.float64)
+        ks = np.arange(k0, n, dtype=dtype)
         w[k0 + 1:] = np.cumprod(((n - ks) * p) / ((ks + 1.0) * q))
     if k0 > 0:
-        ks = np.arange(k0, 0, -1, dtype=np.float64)
+        ks = np.arange(k0, 0, -1, dtype=dtype)
         w[k0 - 1::-1] = np.cumprod((ks * q) / ((n - ks + 1.0) * p))
     logw0 = (math.lgamma(n + 1) - math.lgamma(k0 + 1) - math.lgamma(n - k0 + 1)
              + k0 * math.log(p) + (n - k0) * math.log(q))
@@ -167,16 +185,6 @@ class MomentTable:
     def rho_SK(self, n: int) -> float:
         return self._rho(self.cov_SK(n), self.var_S(n), self.var_K(n), n)
 
-    def rho_SK_corrected(self, n: int, correction: float = 1.046) -> float:
-        """Correlation with Var(K_n) + correction in the denominator.
-
-        The additive constant magnifies the tiny periodic fluctuation so it
-        is visible in plots; its value is a plotting choice, not a derived
-        quantity, hence configurable.
-        """
-        return self._rho(self.cov_SK(n), self.var_S(n),
-                         self.var_K(n) + correction, n)
-
     def rho_SN(self, n: int) -> float:
         return self._rho(self.cov_SN(n), self.var_S(n), self.var_N(n), n)
 
@@ -217,12 +225,12 @@ class MomentTable:
         return json.dumps({"config": cfg, "columns": cols}, allow_nan=True)
 
 
-def _compute_standard(p: float, q: float, n_max: int) -> dict:
+def _compute_centred(p: float, q: float, n_max: int, dtype) -> dict:
     # Row order of M: the three means, then the five centred second moments.
-    M = np.zeros((8, n_max + 1))
+    M = np.zeros((8, n_max + 1), dtype)
     mS, mK, mN, vSS, vKK, vSK, vSN, vNN = M
     for n in range(2, n_max + 1):
-        w = _binom_weights(n, p, q)
+        w = _binom_weights(n, p, q, dtype)
         wb = w[0] + w[n]
         denom = 1.0 - wb
         # Every k-term pairs X(k) with X(n-k), so linear terms fold onto the
@@ -248,67 +256,6 @@ def _compute_standard(p: float, q: float, n_max: int) -> dict:
     return dict(zip(_MEANS + tuple(_CENTRED), M))
 
 
-def _dd_stack(rows: list[DD]) -> DD:
-    return DD(np.stack([r.hi for r in rows]), np.stack([r.lo for r in rows]))
-
-
-def _compute_extended(p: float, q: float, n_max: int) -> dict:
-    t = {name: DD(np.zeros(n_max + 1), np.zeros(n_max + 1)) for name in _ARRAYS}
-    ES, EK, EN = t["ES"], t["EK"], t["EN"]
-    ES2, EK2, EN2 = t["ES2"], t["EK2"], t["EN2"]
-    ESK, ESN = t["ESK"], t["ESN"]
-    pd, qd = DD(p), DD(q)
-    w = _dd_stack([qd * qd, DD(2.0) * pd * qd, pd * pd])  # weights at n = 2
-    w = DD(w.hi.ravel(), w.lo.ravel())
-    for n in range(2, n_max + 1):
-        wi = w[1:n]
-        wb = w[0] + w[n]
-        denom = DD(1.0) - wb
-        fwd = slice(1, n)
-        rev = slice(n - 1, 0, -1)
-        sf, sr = ES[fwd], ES[rev]
-        kf, kr = EK[fwd], EK[rev]
-        nf, nr = EN[fwd], EN[rev]
-        r_s = sf + sr
-        r_k = kf + kr
-        r_n = nf + nr + r_s
-        s2 = ES2[fwd] + ES2[rev]
-        sn = ESN[fwd] + ESN[rev]
-        rows = _dd_stack([
-            r_s,
-            r_k,
-            r_n,
-            s2 + DD(2.0) * (sf * sr + r_s),
-            EK2[fwd] + EK2[rev] + DD(2.0) * (kf * kr) + DD(2.0 * n) * r_k,
-            ESK[fwd] + ESK[rev] + sf * kr + sr * kf + DD(float(n)) * r_s + r_k,
-            sn + s2 + sf * nr + nf * sr + DD(2.0) * (sf * sr) + r_n,
-            EN2[fwd] + EN2[rev] + DD(2.0) * sn + s2
-            + DD(2.0) * (nf * nr + nf * sr + sf * nr + sf * sr),
-        ])
-        d = (rows * wi).sum(axis=-1)
-        es = (d[0] + 1.0) / denom
-        ek = (d[1] + float(n)) / denom
-        en = (d[2] + wb * es) / denom
-        es2 = (d[3] + wb * (DD(2.0) * es) + 1.0) / denom
-        ek2 = (d[4] + wb * (DD(2.0 * n) * ek) + float(n) * float(n)) / denom
-        esk = (d[5] + wb * (DD(float(n)) * es + ek) + float(n)) / denom
-        esn = (d[6] + wb * (es2 + en + es)) / denom
-        en2 = (d[7] + wb * (DD(2.0) * esn + es2)) / denom
-        for arr, val in ((ES, es), (EK, ek), (EN, en), (ES2, es2),
-                         (EK2, ek2), (ESK, esk), (ESN, esn), (EN2, en2)):
-            arr[n] = val
-        if n < n_max:
-            # Pascal update: w'(k) = p w(k-1) + q w(k), exact recurrence
-            pw = pd * w
-            qw = qd * w
-            nw = DD(np.empty(n + 2), np.empty(n + 2))
-            nw[0] = qw[0]
-            nw[n + 1] = pw[n]
-            nw[1:n + 1] = pw[0:n] + qw[1:n + 1]
-            w = nw
-    return t
-
-
 def compute(p: float, n_max: int, precision: str = "standard") -> MomentTable:
     """Solve the moment recurrences exactly for all n <= n_max at fixed p."""
     if not (0.0 < p < 1.0):
@@ -317,23 +264,21 @@ def compute(p: float, n_max: int, precision: str = "standard") -> MomentTable:
         raise ValueError("n_max must be >= 2")
     if precision not in ("standard", "extended"):
         raise ValueError("precision must be 'standard' or 'extended'")
-    # The law is invariant under p <-> q, so compute with the canonical
-    # pair: q_eff = max(p, 1-p) and p_eff = 1 - q_eff (exact by Sterbenz).
-    # Inputs p and 1-p then run bit-identical arithmetic, so their tables
-    # serialize byte-identically.
-    q_eff = max(p, 1.0 - p)
-    p_eff = 1.0 - q_eff
+    dtype = np.float64
+    if precision == "extended":
+        dtype = _EXTENDED
+        bits = np.finfo(dtype).nmant + 1
+        if bits < 64:
+            raise ValueError(
+                "precision 'extended' needs a long double with a 64-bit "
+                f"significand; this platform's has {bits} bits")
+    p_eff, q_eff = _canonical(p)
     if p_eff == 0.0:
         raise ValueError(f"p={p!r} is too close to 0: 1 - p rounds to 1")
-    if precision == "standard":
-        t = _compute_standard(p_eff, q_eff, n_max)
-        for name, (raw, a, b) in _CENTRED.items():
-            t[raw] = t[name] + t[a] * t[b]
-    else:
-        dd = _compute_extended(p_eff, q_eff, n_max)
-        t = {k: dd[k].to_float() for k in _ARRAYS}
-        for name, (raw, a, b) in _CENTRED.items():
-            t[name] = (dd[raw] - dd[a] * dd[b]).to_float()
+    t = _compute_centred(p_eff, q_eff, n_max, dtype)
+    for name, (raw, a, b) in _CENTRED.items():
+        t[raw] = t[name] + t[a] * t[b]
+    t = {k: v.astype(np.float64, copy=False) for k, v in t.items()}
     return MomentTable(p=p, n_max=n_max, precision=precision, **t)
 
 
@@ -365,7 +310,7 @@ class PoissonSeries:
         return cls(coef=coef, guard_z=_guard_from_length(len(coef)))
 
     def eval(self, z, derivative: int = 0):
-        """Evaluate the series (or its first derivative) at z.
+        """Evaluate the series (or its first derivative) at real z.
 
         The derivative is taken termwise: d/dz e^-z sum m_n z^n/n! equals
         e^-z sum (m_{n+1} - m_n) z^n / n!.
@@ -381,23 +326,13 @@ class PoissonSeries:
         c = self.coef[:limit + 1] if limit + 1 < len(self.coef) else self.coef
         if derivative:
             c = np.diff(c)
-        zc = complex(z)
-        if zc.imag == 0.0:
-            x = zc.real
-            term = 1.0
-            parts = []
-            for i, cn in enumerate(c):
-                parts.append(cn * term)
-                term *= x / (i + 1)
-            return math.exp(-x) * math.fsum(parts)
-        term = 1.0 + 0.0j
-        re_parts, im_parts = [], []
+        x = float(z)
+        term = 1.0
+        parts = []
         for i, cn in enumerate(c):
-            v = cn * term
-            re_parts.append(v.real)
-            im_parts.append(v.imag)
-            term *= zc / (i + 1)
-        return cmath.exp(-zc) * complex(math.fsum(re_parts), math.fsum(im_parts))
+            parts.append(cn * term)
+            term *= x / (i + 1)
+        return math.exp(-x) * math.fsum(parts)
 
 
 class PoissonModel:

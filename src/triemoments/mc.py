@@ -10,9 +10,9 @@ fewer tries from its stream.  ``run`` and ``sample_matrix`` share the batch
 loop; ``run`` reduces each batch to a moment accumulator and merges the
 accumulators in trial order.
 
-``run`` streams: memory is bounded by the batch size.  ``whiten``,
-``joint_histogram`` and ``normality_report`` keep the per-trial matrix
-(trials x 3 int64) because sorting-based diagnostics need it.
+``run`` streams: memory is bounded by the batch size.  ``whiten`` and
+``joint_histogram`` keep the per-trial matrix (trials x 3 int64) because
+sorting-based diagnostics need it.
 """
 
 from __future__ import annotations
@@ -203,41 +203,6 @@ def marginal_diagnostics(values: np.ndarray):
     skew = float((z ** 3).mean())
     kurt = float((z ** 4).mean() - 3.0)
     return skew, kurt, ks_normal(z)
-
-
-@dataclass(frozen=True)
-class NormalityReport:
-    n: int
-    p: float
-    trials: int
-    seed: int
-    skewness: dict
-    ex_kurtosis: dict
-    edf_distance: dict
-
-    def to_json(self, extra_config: dict | None = None) -> str:
-        cfg = {"n": self.n, "p": self.p, "trials": self.trials, "seed": self.seed}
-        if extra_config:
-            cfg.update(extra_config)
-        return json.dumps({"config": cfg, "skewness": self.skewness,
-                           "ex_kurtosis": self.ex_kurtosis,
-                           "edf_distance": self.edf_distance})
-
-
-def normality_report(n: int, p: float, trials: int,
-                     seed: int = 0) -> NormalityReport:
-    """Marginal normality diagnostics for standardized S and K."""
-    if trials < 1000:
-        raise ValueError("trials must be >= 1000")
-    x = sample_matrix(n, p, trials, seed)
-    out = {}
-    for name, col in (("S", 0), ("K", 1)):
-        out[name] = marginal_diagnostics(x[:, col])
-    return NormalityReport(
-        n=n, p=p, trials=trials, seed=seed,
-        skewness={k: v[0] for k, v in out.items()},
-        ex_kurtosis={k: v[1] for k, v in out.items()},
-        edf_distance={k: v[2] for k, v in out.items()})
 
 
 @dataclass(frozen=True)

@@ -192,7 +192,7 @@ def test_criterion_12_special_functions():
         w = invsqrt2(m)
         worst_rt = max(
             worst_rt,
-            float(np.abs(r.matmul(r) - m.as_array()).max()
+            float(np.abs(r.as_array() @ r.as_array() - m.as_array()).max()
                   / np.abs(m.as_array()).max()),
             float(np.abs(w.as_array() @ m.as_array() @ w.as_array()
                          - np.eye(2)).max()))

@@ -82,6 +82,8 @@ class TestParams:
     def test_ratio_detector_irrational(self):
         assert detect_ratio(0.3) is None
         assert params(0.3).ratio is None
+        # log p/log q ~ 2e10: a convergent with l <= 64 but r far above it
+        assert detect_ratio(1e-9) is None
 
     def test_supplied_ratio_checked(self):
         m = params(0.5, RatioSpec(1, 1))
@@ -173,9 +175,14 @@ class TestGeneralCovariance:
         assert_close(got.real, want, rtol=1e-13, msg=f"g2_0 at p={p}")
 
     def test_symmetric_under_p_swap(self):
-        a = g2_general(params(0.3), 0).real
-        b = g2_general(params(0.7), 0).real
-        assert_close(a, b, rtol=1e-12, msg="p <-> q symmetry")
+        # p and 1 - p run on one canonical pair: bit-identical coefficients
+        for p in (0.3, 0.1, 0.02):
+            assert g2_general(params(p), 0) == g2_general(params(1 - p), 0), p
+        # rational case: the ratio flips with p, the harmonics chi_k do not
+        p = (3.0 - math.sqrt(5.0)) / 2.0
+        a, b = params(p), params(1 - p)
+        assert (a.ratio, b.ratio) == (RatioSpec(2, 1), RatioSpec(1, 2))
+        assert cov_coeffs(a, 3).values == cov_coeffs(b, 3).values
 
     def test_harmonics_tiny_vs_k0(self):
         m = params(0.5)
@@ -258,8 +265,8 @@ class TestMatrix:
             mm = x.T @ x + 0.05 * np.eye(2)
             m = SymMatrix2(mm[0, 0], mm[0, 1], mm[1, 1])
             r = sqrt2(m)
-            np.testing.assert_allclose(r.matmul(r), m.as_array(),
-                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(r.as_array() @ r.as_array(),
+                                       m.as_array(), rtol=1e-12, atol=1e-12)
 
     def test_invsqrt_whitens(self):
         rng = np.random.default_rng(43)

@@ -4,8 +4,10 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
+from triemoments import exact
 from triemoments.cli import main
 
 
@@ -42,6 +44,17 @@ class TestExact:
             _, a, _ = run_cli(["exact", "--p", "0.3"] + tail, capsys)
             _, b, _ = run_cli(["exact", "--p", "0.7"] + tail, capsys)
             assert strip(a) == strip(b), precision
+
+    def test_extended_refused_without_long_double(self, capsys, monkeypatch):
+        # where long double is only a double, "extended" would add no bits
+        monkeypatch.setattr(exact, "_EXTENDED", np.float64)
+        with pytest.raises(ValueError, match="64-bit significand"):
+            exact.compute(0.5, 8, "extended")
+        code, _, err = run_cli(["exact", "--p", "0.5", "--nmax", "8",
+                                "--precision", "extended"], capsys)
+        assert code == 2
+        assert "53 bits" in err
+        assert "Traceback" not in err
 
     def test_identical_across_blas_threads(self):
         # the DP's Gram matrix is a BLAS product; its result must not
@@ -113,10 +126,25 @@ class TestAsym:
         assert "--points" in err
 
     def test_overflow_is_numeric_error_exit_3(self, capsys):
-        # p = 1e-9 drives the gamma reflection out of range (OverflowError)
+        # at p = 1e-9 the general-p series needs more terms than its cap;
+        # no rational ratio may be detected (its chi_k would overflow Gamma)
         code, _, err = run_cli(["asym", "--p", "1e-9"], capsys)
         assert code == 3
         assert "numeric error" in err
+        assert "math range error" not in err
+
+    def test_pq_symmetry(self, capsys):
+        # p and 1 - p share the canonical pair, so only p itself may differ
+        docs = []
+        for p in ("0.3", "0.7"):
+            code, out, _ = run_cli(["asym", "--p", p], capsys)
+            assert code == 0
+            doc = json.loads(out)
+            del doc["config"]
+            for fam in doc["families"]:
+                del fam["p"]
+            docs.append(doc)
+        assert docs[0] == docs[1]
 
     @pytest.mark.parametrize("p", ["0.98", "0.9995"])
     def test_skewed_p_converges(self, capsys, p):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -166,16 +167,7 @@ def test_golden_rho_SN_1024():
     assert_close(got, 0.9860162734025352, atol=1e-9, msg="rho_SN(1024)")
 
 
-def test_corrected_denominator_rho():
-    t = table(0.5, 1024)
-    plain = t.rho_SK(512)
-    corrected = t.rho_SK_corrected(512)
-    assert corrected < plain  # inflated denominator
-    # the correction is configurable; zero recovers the plain value
-    assert t.rho_SK_corrected(512, correction=0.0) == pytest.approx(plain,
-                                                                    rel=1e-15)
-
-
+@functools.lru_cache(maxsize=None)   # p = 0.5 serves both precisions
 def _mp_raw_moments(p: float, n_max: int, dps: int = 50):
     """E Y_n and E Y_n Y_n^T for Y = (S, K, N), n <= n_max, in mpmath.
 
@@ -219,16 +211,28 @@ def _mp_raw_moments(p: float, n_max: int, dps: int = 50):
         return mu, M
 
 
-@pytest.mark.parametrize("p", [0.5, 0.3, 0.1, 0.02])
-def test_second_moments_match_mpmath_oracle(p):
+_ORACLE_P = (0.5, 0.3, 0.1, 0.02)
+
+
+@pytest.mark.parametrize(
+    "p, precision",
+    [pytest.param(p, "standard", id=str(p)) for p in _ORACLE_P]
+    + [pytest.param(p, "extended", id=f"{p}-extended") for p in _ORACLE_P])
+def test_second_moments_match_mpmath_oracle(p, precision):
     n_max = 128
-    mu, M = _mp_raw_moments(p, n_max)
-    t = compute(p, n_max)
+    if precision == "standard":
+        p_ref, rtol = p, 3e-14
+    else:
+        # 1 ulp of the correctly rounded value, at the canonical p that
+        # compute() runs with (at p = 0.02 it differs from p by 8.9e-16)
+        p_ref, rtol = 1.0 - max(p, 1.0 - p), 2.3e-16
+    mu, M = _mp_raw_moments(p_ref, n_max)
+    t = compute(p, n_max, precision)
     accessors = {"var_S": (0, 0), "var_K": (1, 1), "var_N": (2, 2),
                  "cov_SK": (0, 1), "cov_SN": (0, 2)}
     with mp.workdps(50):
         for n in range(2, n_max + 1):
             for name, (i, j) in accessors.items():
                 want = float(M[n][i][j] - mu[n][i] * mu[n][j])
-                assert_close(getattr(t, name)(n), want, rtol=3e-14,
-                             msg=f"{name}({n}) at p={p}")
+                assert_close(getattr(t, name)(n), want, rtol=rtol,
+                             msg=f"{name}({n}) at p={p}, {precision}")

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import assert_close, table, two_key_oracle
 from triemoments import (DegenerateVariance, NotPositiveDefinite, run, whiten,
-                         joint_histogram, normality_report)
+                         joint_histogram)
 from triemoments.exact import compute as exact_compute
 from triemoments.mc import (_MomentAcc, _batch_size, ks_normal,
                             marginal_diagnostics, sample_matrix)
@@ -112,22 +112,6 @@ class TestDiagnostics:
     def test_constant_rejected(self):
         with pytest.raises(DegenerateVariance):
             marginal_diagnostics(np.full(100, 3.0))
-
-    def test_normality_report(self):
-        r = normality_report(512, 0.3, 4000, seed=3)
-        for key in ("S", "K"):
-            assert abs(r.skewness[key]) < 0.25
-            assert abs(r.ex_kurtosis[key]) < 0.5
-            assert r.edf_distance[key] < 0.05
-
-    def test_normality_determinism(self):
-        a = normality_report(64, 0.5, 1500, seed=9)
-        b = normality_report(64, 0.5, 1500, seed=9)
-        assert a == b
-
-    def test_normality_trials_floor(self):
-        with pytest.raises(ValueError):
-            normality_report(64, 0.5, 500, seed=9)
 
 
 class TestWhiten:
