@@ -130,8 +130,11 @@ def params(p: float, ratio_spec: RatioSpec | str | None = None) -> ModelParams:
     lp, lq = math.log(p_c), math.log(q_c)
     h = -(p_c * lp + q_c * lq)
     lam = p_c * q_c * (lp - lq) ** 2 / h ** 3
-    lam_alt = ((p_c * lp * lp + q_c * lq * lq) - h * h) / h ** 3
-    if abs(lam - lam_alt) > 1e-13 * max(abs(lam), abs(lam_alt), 1e-3):
+    second = p_c * lp * lp + q_c * lq * lq
+    lam_alt = (second - h * h) / h ** 3
+    # lam_alt cancels h^2 against the nearly equal second log-moment as p
+    # nears 1/2, so the forms can only agree to the scale of that moment
+    if abs(lam - lam_alt) > 1e-13 * second / h ** 3:
         raise ArithmeticError(
             f"lambda forms disagree: {lam!r} vs {lam_alt!r}")
     swapped = p > 0.5           # p_c is 1 - p: flip ratios between the two
@@ -448,27 +451,17 @@ def invsqrt2(m: SymMatrix2) -> SymMatrix2:
     return SymMatrix2(a=(m.c + s) / d, b=-m.b / d, c=(m.a + s) / d)
 
 
-def sigma_matrix(model: ModelParams, n: float, variant: str = "symmetric",
-                 k_max: int = 5) -> SymMatrix2:
-    """Asymptotic covariance matrix of (size, KPL) scaled by n.
-
-    symmetric: n [[F[g1], F[g2]], [F[g2], F[g3]]], p = 1/2 only.
-    unified:   lambda n log n added to the (2,2) entry; needs the same
-               symmetric coefficients, hence also p = 1/2 only (general-p
-               g1/g3 closed forms are out of scope).
+def sigma_matrix(model: ModelParams, n: float, k_max: int = 5) -> SymMatrix2:
+    """Asymptotic covariance matrix of (size, KPL) scaled by n:
+    n [[F[g1], F[g2]], [F[g2], F[g3]]], p = 1/2 only (general-p g1/g3 closed
+    forms are out of scope).
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if variant not in ("symmetric", "unified"):
-        raise ValueError("variant must be 'symmetric' or 'unified'")
     if abs(model.p - 0.5) > 1e-15:
         raise VariantUnavailable(
             "asymptotic covariance matrix needs g1/g3 coefficients, "
             "implemented only for p = 1/2")
     c1, c2, c3 = (sym_coeffs(f, k_max) for f in ("g1", "g2", "g3"))
-    a = n * fluct_eval(c1, n)
-    b = n * fluct_eval(c2, n)
-    c = n * fluct_eval(c3, n)
-    if variant == "unified":
-        c += model.lam * n * math.log(n)
-    return SymMatrix2(a=a, b=b, c=c)
+    return SymMatrix2(a=n * fluct_eval(c1, n), b=n * fluct_eval(c2, n),
+                      c=n * fluct_eval(c3, n))

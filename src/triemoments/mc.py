@@ -6,13 +6,13 @@ trials [b*G, (b+1)*G) and draws all of them with one ``trie.sample_shapes``
 call from its own counter-derived stream ``trie.trial_rng(seed, b)``.  The
 batch is the stream unit: a sample matrix of k*G trials is a prefix of any
 longer one with the same seed, and a last, shorter batch is drawn with
-fewer tries from its stream.  ``run`` and ``sample_matrix`` share the batch
-loop; ``run`` reduces each batch to a moment accumulator and merges the
-accumulators in trial order.
+fewer tries from its stream.
 
-``run`` streams: memory is bounded by the batch size.  ``whiten`` and
-``joint_histogram`` keep the per-trial matrix (trials x 3 int64) because
-sorting-based diagnostics need it.
+Every command reduces the full sample matrix (trials x 3 int64, 24 B per
+trial) once, through one centring helper: ``run`` for the mean, covariance,
+skewness and excess kurtosis, ``whiten`` and ``joint_histogram`` for their
+centring and standardisation, ``marginal_diagnostics`` for the whitened
+marginals.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import asym, exact
 from .asym import SymMatrix2, invsqrt2
-from .errors import DegenerateVariance, NotPositiveDefinite
+from .errors import DegenerateVariance
 from .trie import sample_shapes, trial_rng
 
 _BATCH_KEYS = 2 ** 15
@@ -42,71 +42,39 @@ def _batch_size(n: int) -> int:
     return min(max(_BATCH_KEYS // max(n, 1), 1), _MAX_BATCH)
 
 
-def _batches(n: int, p: float, trials: int, seed: int):
-    """Yield (first trial, (count, 3) rows of S, K, N) batch by batch."""
-    g = _batch_size(n)
-    for b, start in enumerate(range(0, trials, g)):
-        rows = sample_shapes(n, p, min(g, trials - start), trial_rng(seed, b))
-        yield start, rows[:, :3]
-
-
 def sample_matrix(n: int, p: float, trials: int, seed: int) -> np.ndarray:
     """(trials, 3) matrix of (S, K, N) samples, deterministic per seed."""
     if trials < 2:
         raise ValueError("trials must be >= 2")
+    g = _batch_size(n)
     out = np.empty((trials, 3), dtype=np.int64)
-    for start, x in _batches(n, p, trials, seed):
-        out[start:start + len(x)] = x
+    for b, start in enumerate(range(0, trials, g)):
+        rows = sample_shapes(n, p, min(g, trials - start), trial_rng(seed, b))
+        out[start:start + g] = rows[:, :3]
     return out
 
 
-# ---------------------------------------------------------------------------
-# streaming accumulator
-# ---------------------------------------------------------------------------
+def _centre(x: np.ndarray):
+    """(mean, centred rows, comoment sums, skewness, excess kurtosis) of the
+    columns of a (trials, k) int64 or float64 sample, from one centring.
 
-@dataclass
-class _MomentAcc:
-    """Count, mean vector, centered comoment matrix and 3rd/4th powers."""
-
-    count: int
-    mean: np.ndarray   # (3,)
-    m2: np.ndarray     # (3,3) sum of centered outer products
-    m3: np.ndarray     # (3,) per-coordinate sum of centered cubes
-    m4: np.ndarray     # (3,)
-
-    @classmethod
-    def from_samples(cls, x: np.ndarray) -> "_MomentAcc":
-        x = np.asarray(x, dtype=np.float64)
-        mean = x.mean(axis=0)
-        xc = x - mean
-        return cls(count=x.shape[0], mean=mean, m2=xc.T @ xc,
-                   m3=(xc ** 3).sum(axis=0), m4=(xc ** 4).sum(axis=0))
-
-    def merge(self, other: "_MomentAcc") -> "_MomentAcc":
-        na, nb = self.count, other.count
-        n = na + nb
-        d = other.mean - self.mean
-        mean = self.mean + d * (nb / n)
-        m2 = self.m2 + other.m2 + np.outer(d, d) * (na * nb / n)
-        da = np.diag(self.m2)
-        db = np.diag(other.m2)
-        m3 = (self.m3 + other.m3
-              + d ** 3 * (na * nb * (na - nb) / n ** 2)
-              + 3.0 * d * (na * db - nb * da) / n)
-        m4 = (self.m4 + other.m4
-              + d ** 4 * (na * nb * (na * na - na * nb + nb * nb) / n ** 3)
-              + 6.0 * d ** 2 * (na * na * db + nb * nb * da) / n ** 2
-              + 4.0 * d * (na * other.m3 - nb * self.m3) / n)
-        return _MomentAcc(count=n, mean=mean, m2=m2, m3=m3, m4=m4)
-
-
-def _shape_stats_from_acc(acc: _MomentAcc):
-    m = acc.count
-    var = np.diag(acc.m2) / m
+    For int64 input the column sums are exact, so the means are correctly
+    rounded, and the integer shift rint(mean) is subtracted exactly from
+    integer-valued float64.  The residual mean is then removed from the
+    C-contiguous (k, trials) copy, and every sum runs along its last axis,
+    where numpy sums pairwise; the comoments come from row products, not
+    from a matrix product.
+    """
+    m = len(x)
+    mean = x.sum(axis=0) / m
+    y = np.ascontiguousarray(x.T, dtype=np.float64)
+    y -= np.rint(mean)[:, None]
+    y -= (y.sum(axis=1) / m)[:, None]
+    m2 = np.array([[(a * b).sum() for b in y] for a in y])
+    m3, m4 = (np.array([(r ** e).sum() for r in y]) / m for e in (3, 4))
+    var = np.diag(m2) / m
     with np.errstate(invalid="ignore", divide="ignore"):
-        skew = (acc.m3 / m) / var ** 1.5
-        kurt = (acc.m4 / m) / var ** 2 - 3.0
-    return var, skew, kurt
+        return mean, y, m2, m3 / var ** 1.5, m4 / var ** 2 - 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -157,17 +125,14 @@ def run(n: int, p: float, trials: int, seed: int = 0,
         raise ValueError("n must be >= 2")
     if trials < 100:
         raise ValueError("trials must be >= 100")
-    acc = None
-    for start, x in _batches(n, p, trials, seed):
-        part = _MomentAcc.from_samples(x)
-        acc = part if acc is None else acc.merge(part)
-        if raw_dump is not None:
-            for i, row in enumerate(x):
-                raw_dump.write(f"{start + i},{row[0]},{row[1]},{row[2]}\n")
-    var, skew, kurt = _shape_stats_from_acc(acc)
-    cov = acc.m2 / (acc.count - 1)
+    x = sample_matrix(n, p, trials, seed)
+    if raw_dump is not None:
+        for t, row in enumerate(x.tolist()):
+            raw_dump.write(f"{t},{row[0]},{row[1]},{row[2]}\n")
+    mean, _, m2, skew, kurt = _centre(x)
+    cov = m2 / (trials - 1)
     return SampleSummary(
-        n=n, p=p, trials=trials, seed=seed, mean=acc.mean, cov=cov,
+        n=n, p=p, trials=trials, seed=seed, mean=mean, cov=cov,
         skewness=skew, ex_kurtosis=kurt,
         stderr_mean=np.sqrt(np.diag(cov) / trials))
 
@@ -194,15 +159,11 @@ def marginal_diagnostics(values: np.ndarray):
 
     Raises DegenerateVariance for (near-)constant input.
     """
-    x = np.asarray(values, dtype=np.float64)
-    mu = x.mean()
-    sd = x.std()
-    if sd == 0.0 or not np.isfinite(sd):
+    _, y, m2, skew, kurt = _centre(np.asarray(values, dtype=np.float64)[:, None])
+    sd = math.sqrt(m2[0, 0] / len(values))
+    if sd == 0.0 or not math.isfinite(sd):
         raise DegenerateVariance("zero variance marginal")
-    z = (x - mu) / sd
-    skew = float((z ** 3).mean())
-    kurt = float((z ** 4).mean() - 3.0)
-    return skew, kurt, ks_normal(z)
+    return float(skew[0]), float(kurt[0]), ks_normal(y[0] / sd)
 
 
 @dataclass(frozen=True)
@@ -250,7 +211,7 @@ def whiten(n: int, p: float, trials: int, seed: int = 0, source: str = "exact",
     """
     if source not in ("exact", "sample", "asymptotic"):
         raise ValueError("source must be exact, sample or asymptotic")
-    x = sample_matrix(n, p, trials, seed)[:, :2].astype(np.float64)
+    x = sample_matrix(n, p, trials, seed)[:, :2]
     if source == "exact":
         if table is None:
             table = exact.compute(p, n)
@@ -258,26 +219,22 @@ def whiten(n: int, p: float, trials: int, seed: int = 0, source: str = "exact",
             raise ValueError("supplied table does not cover (n, p)")
         center = (table.mean_S(n), table.mean_K(n))
         sigma = SymMatrix2(a=table.var_S(n), b=table.cov_SK(n), c=table.var_K(n))
-    elif source == "sample":
-        center = (x[:, 0].mean(), x[:, 1].mean())
-        c = np.cov(x.T)
-        sigma = SymMatrix2(a=c[0, 0], b=c[0, 1], c=c[1, 1])
     else:
-        center = (x[:, 0].mean(), x[:, 1].mean())
-        sigma = asym.sigma_matrix(asym.params(p), n)
+        mean, _, m2, _, _ = _centre(x)
+        center = tuple(mean)
+        if source == "sample":
+            cov = m2 / (trials - 1)
+            sigma = SymMatrix2(a=cov[0, 0], b=cov[0, 1], c=cov[1, 1])
+        else:
+            sigma = asym.sigma_matrix(asym.params(p), n)
     w = invsqrt2(sigma)  # NotPositiveDefinite propagates (e.g. n=2 sample)
     y = w.apply(x - np.array(center))
     wcov = (y.T @ y) / (trials - 1)
-    diag = []
-    for col in range(2):
-        diag.append(marginal_diagnostics(y[:, col]))
+    skew, kurt, edf = zip(*(marginal_diagnostics(col) for col in y.T))
     return WhitenReport(
         n=n, p=p, trials=trials, seed=seed, source=source, sigma=sigma,
-        center=center, whitened_cov=wcov,
-        max_offdiag=float(abs(wcov[0, 1])),
-        skewness=tuple(d[0] for d in diag),
-        ex_kurtosis=tuple(d[1] for d in diag),
-        edf_distance=tuple(d[2] for d in diag))
+        center=center, whitened_cov=wcov, max_offdiag=float(abs(wcov[0, 1])),
+        skewness=skew, ex_kurtosis=kurt, edf_distance=edf)
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +272,13 @@ def joint_histogram(n: int, p: float, trials: int, seed: int = 0,
     """2-D histogram of per-coordinate standardized (S, K)."""
     if bins < 10:
         raise ValueError("bins must be >= 10")
-    x = sample_matrix(n, p, trials, seed)[:, :2].astype(np.float64)
-    mu = x.mean(axis=0)
-    sd = x.std(axis=0)
+    _, y, m2, _, _ = _centre(sample_matrix(n, p, trials, seed)[:, :2])
+    sd = np.sqrt(np.diag(m2) / trials)
     if (sd == 0.0).any():
         raise DegenerateVariance("constant marginal; cannot standardize")
-    z = (x - mu) / sd
-    counts, s_edges, k_edges = np.histogram2d(z[:, 0], z[:, 1], bins=bins)
-    rho = float(np.corrcoef(z.T)[0, 1])
+    z = y / sd[:, None]
+    counts, s_edges, k_edges = np.histogram2d(z[0], z[1], bins=bins)
+    rho = float(m2[0, 1] / math.sqrt(m2[0, 0] * m2[1, 1]))
     return JointHistogram(n=n, p=p, trials=trials, seed=seed, bins=bins,
                           counts=counts.astype(np.int64),
                           s_edges=s_edges, k_edges=k_edges, rho=rho)

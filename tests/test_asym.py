@@ -296,12 +296,6 @@ class TestSigma:
         s = sigma_matrix(params(0.5), 1_000_000)
         assert s.is_positive_definite()
 
-    def test_unified_reduces_at_half(self):
-        m = params(0.5)
-        a = sigma_matrix(m, 4096, "symmetric")
-        b = sigma_matrix(m, 4096, "unified")
-        assert a == b  # lambda = 0 exactly at p = 1/2
-
     def test_entries_scale_linearly(self):
         m = params(0.5)
         a = sigma_matrix(m, 1024)
@@ -314,11 +308,7 @@ class TestSigma:
     def test_unavailable_off_half(self):
         with pytest.raises(VariantUnavailable):
             sigma_matrix(params(0.3), 1000)
-        with pytest.raises(VariantUnavailable):
-            sigma_matrix(params(0.3), 1000, "unified")
 
     def test_validation(self):
         with pytest.raises(ValueError):
             sigma_matrix(params(0.5), 1)
-        with pytest.raises(ValueError):
-            sigma_matrix(params(0.5), 100, "other")

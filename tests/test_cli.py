@@ -133,6 +133,20 @@ class TestAsym:
         assert "numeric error" in err
         assert "math range error" not in err
 
+    def test_detected_ratio_7_6_matches_irrational_g2_0(self, capsys):
+        # at the detected ratio 7/6 the j-terms are below 1e-70, so g2_0
+        # matches the irrational reading although Gamma(chi_5 + ...) needs
+        # the log-space reflection
+        g2_0 = {}
+        for extra in ([], ["--irrational"]):
+            code, out, err = run_cli(["asym", "--p", "0.47331101329926406"]
+                                     + extra, capsys)
+            assert code == 0, err
+            doc = json.loads(out)
+            coef = {c["k"]: c["re"] for c in doc["families"][0]["coefficients"]}
+            g2_0[doc["config"]["ratio"]] = coef[0]
+        assert g2_0["7/6"] == pytest.approx(g2_0["irrational"], rel=1e-13)
+
     def test_pq_symmetry(self, capsys):
         # p and 1 - p share the canonical pair, so only p itself may differ
         docs = []
@@ -293,6 +307,10 @@ BAD_INPUT = [  # (arguments, exit code)
     (["simulate", "--p", "1e-17", "--n", "16", "--trials", "200"], 2),
     (["asym", "--p", "1e-17"], 2),
     (["compare", "--p", "1e-17"], 2),
+    # detected ratios 7/6 and 64/63 put |Im chi_k| past 226, where
+    # sin(pi z) in the gamma reflection overflows
+    (["asym", "--p", "0.47331101329926406"], 0),
+    (["asym", "--p", "0.49727104254994325"], 0),
 ]
 
 

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from conftest import assert_close, table, two_key_oracle
 from triemoments import DegenerateVariance, compute
+from triemoments.asym import IRRATIONAL, g2_general, params
 from triemoments.exact import _binom_weights
 
 
@@ -77,6 +79,22 @@ def test_exchange_symmetry():
     for name in ("ES", "EK", "EN", "ES2", "EK2", "EN2", "ESK", "ESN"):
         np.testing.assert_allclose(getattr(a, name), getattr(b, name),
                                    rtol=1e-12, err_msg=name)
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.floats(0.01, 0.99))
+@example(p=0.5078125)
+def test_exchange_symmetry_is_bitwise(p):
+    # p and 1 - p share one canonical parameter pair, so the DP tables and
+    # the asymptotic constants come out bit-identical, not merely close
+    q = 1.0 - p
+    a, b = compute(p, 64), compute(q, 64)
+    for name in ("ES", "EK", "EN", "ES2", "EK2", "EN2", "ESK", "ESN",
+                 "VarS", "VarK", "VarN", "CovSK", "CovSN"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    ma, mb = params(p, IRRATIONAL), params(q, IRRATIONAL)
+    assert (ma.h, ma.lam) == (mb.h, mb.lam)
+    assert g2_general(ma, 0) == g2_general(mb, 0)
 
 
 @pytest.mark.parametrize("p", [0.5, 0.3])

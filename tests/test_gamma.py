@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -46,6 +47,16 @@ def test_gamma_reflection_consistency():
     prod = cgamma(z) * cgamma(1 - z)
     want = math.pi / cmath.sin(math.pi * z)
     assert abs(prod - want) < 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("x", [-0.5, 0.0, 0.25])
+@pytest.mark.parametrize("y", [250.0, -250.0, 400.0, -400.0])
+def test_gamma_far_from_real_axis_matches_mpmath(x, y):
+    # sin(pi z) overflows for |Im z| past about 226, although Gamma(z) is
+    # only about 1e-170 to 1e-276 here
+    with mpmath.workdps(30):
+        want = complex(mpmath.gamma(mpmath.mpc(x, y)))
+    assert abs(cgamma(complex(x, y)) - want) <= 1e-12 * abs(want)
 
 
 def test_gamma_pole():

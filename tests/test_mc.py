@@ -1,5 +1,6 @@
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,38 +9,53 @@ from conftest import assert_close, table, two_key_oracle
 from triemoments import (DegenerateVariance, NotPositiveDefinite, run, whiten,
                          joint_histogram)
 from triemoments.exact import compute as exact_compute
-from triemoments.mc import (_MomentAcc, _batch_size, ks_normal,
+from triemoments.mc import (_batch_size, ks_normal,
                             marginal_diagnostics, sample_matrix)
 from triemoments.trie import sample_shapes, trial_rng
 
 
-class TestAccumulator:
-    def test_from_samples_matches_numpy(self, rng):
-        x = rng.normal(size=(500, 3)) * [1.0, 7.0, 30.0]
-        acc = _MomentAcc.from_samples(x)
-        np.testing.assert_allclose(acc.mean, x.mean(axis=0), rtol=1e-12)
-        xc = x - x.mean(axis=0)
-        np.testing.assert_allclose(acc.m2, xc.T @ xc, rtol=1e-10)
-        np.testing.assert_allclose(acc.m3, (xc ** 3).sum(axis=0), rtol=1e-9)
-        np.testing.assert_allclose(acc.m4, (xc ** 4).sum(axis=0), rtol=1e-9)
+def _exact_moments(x):
+    """Mean, covariance (divisor m - 1), skewness and excess kurtosis of the
+    columns of an integer sample, from exact integer power sums."""
+    m = len(x)
+    cols = [x[:, i].tolist() for i in range(x.shape[1])]
+    s1 = [sum(c) for c in cols]
+    mean = [Fraction(v, m) for v in s1]
+    cov = [[Fraction(sum(a * b for a, b in zip(ci, cj)) * m - si * sj, m * (m - 1))
+            for cj, sj in zip(cols, s1)] for ci, si in zip(cols, s1)]
+    skew, kurt = [], []
+    for c, a in zip(cols, s1):
+        s2, s3, s4 = (sum(v ** k for v in c) for k in (2, 3, 4))
+        var = Fraction(s2 * m - a * a, m * m)
+        m3 = Fraction(s3 * m * m - 3 * a * s2 * m + 2 * a ** 3, m ** 3)
+        m4 = Fraction(s4 * m ** 3 - 4 * a * s3 * m * m + 6 * a * a * s2 * m
+                      - 3 * a ** 4, m ** 4)
+        skew.append(math.copysign(math.sqrt(m3 * m3 / var ** 3), m3))
+        kurt.append(m4 / var ** 2 - 3)
+    return mean, cov, skew, kurt
 
-    def test_merge_equals_whole(self, rng):
-        x = rng.normal(size=(700, 3)) + [5.0, -2.0, 0.0]
-        whole = _MomentAcc.from_samples(x)
-        merged = _MomentAcc.from_samples(x[:173]).merge(
-            _MomentAcc.from_samples(x[173:]))
-        np.testing.assert_allclose(merged.mean, whole.mean, rtol=1e-12)
-        np.testing.assert_allclose(merged.m2, whole.m2, rtol=1e-9, atol=1e-9)
-        np.testing.assert_allclose(merged.m3, whole.m3, rtol=1e-8, atol=1e-6)
-        np.testing.assert_allclose(merged.m4, whole.m4, rtol=1e-8, atol=1e-6)
 
-    def test_chained_merge(self, rng):
-        x = rng.normal(size=(900, 3))
-        whole = _MomentAcc.from_samples(x)
-        acc = _MomentAcc.from_samples(x[:300])
-        acc = acc.merge(_MomentAcc.from_samples(x[300:600]))
-        acc = acc.merge(_MomentAcc.from_samples(x[600:]))
-        np.testing.assert_allclose(acc.m4, whole.m4, rtol=1e-8, atol=1e-6)
+@pytest.mark.parametrize("n, p, trials, seed", [(16, 0.5, 12_000, 1),
+                                                (1000, 0.3, 5000, 2),
+                                                (4096, 0.5, 4000, 19)])
+def test_run_moments_match_exact_rationals(n, p, trials, seed):
+    # run's summary against exact rational moments of the same draws: the
+    # one centring pass gives correctly rounded means, covariances within
+    # about 2 units of roundoff and shape statistics to 1e-14
+    raw = io.StringIO()
+    s = run(n, p, trials, seed, raw_dump=raw)
+    x = sample_matrix(n, p, trials, seed)
+    rows = np.array([[int(v) for v in ln.split(",")]
+                     for ln in raw.getvalue().splitlines()])
+    assert np.array_equal(rows[:, 1:], x)
+    mean, cov, skew, kurt = _exact_moments(x)
+    for i in range(3):
+        assert abs(Fraction(s.mean[i]) - mean[i]) <= np.spacing(float(mean[i]))
+        for j in range(3):
+            assert abs(Fraction(s.cov[i, j]) - cov[i][j]) <= 4.5e-16 * abs(cov[i][j])
+        assert abs(s.skewness[i] - skew[i]) <= 1e-14 * max(1.0, abs(skew[i]))
+        k = float(kurt[i])
+        assert abs(Fraction(s.ex_kurtosis[i]) - kurt[i]) <= 1e-14 * max(1.0, abs(k))
 
 
 class TestRun:
@@ -50,8 +66,7 @@ class TestRun:
         assert np.array_equal(a.cov, b.cov)
 
     def test_raw_dump_rows_match_sample_matrix(self):
-        # run streams its rows chunk by chunk; they are the same trials, in
-        # the same order, as the one-shot sample matrix
+        # the dumped rows are the sample matrix's trials, numbered in order
         raw = io.StringIO()
         run(32, 0.4, 2100, seed=3, raw_dump=raw)
         rows = np.array([[int(v) for v in ln.split(",")]

@@ -142,10 +142,7 @@ class TestSampleShape:
     def test_two_keys_mean_size(self):
         # E S_2 = 1/(2pq): geometric common-prefix oracle
         trials = 20_000
-        tot = 0
-        for t in range(trials):
-            tot += sample_shape(2, 0.5, rng=trial_rng(23, t)).size
-        mean = tot / trials
+        mean = sample_shapes(2, 0.5, trials, trial_rng(23, 0))[:, 0].mean()
         var = two_key_oracle(0.5)["VarS"]
         se = math.sqrt(var / trials)
         assert_close(mean, 2.0, atol=3 * se, msg="E S_2 at p=1/2")
@@ -202,11 +199,9 @@ def test_samplers_share_law_small_n():
     # 4 standard errors (desk-scale version of the acceptance check)
     trials = 4000
     p, n = 0.3, 6
-    a = np.empty((trials, 3))
+    a = sample_shapes(n, p, trials, trial_rng(100, 0))[:, :3].astype(float)
     b = np.empty((trials, 3))
     for t in range(trials):
-        st = sample_shape(n, p, rng=trial_rng(100, t))
-        a[t] = (st.size, st.kpl, st.npl)
         keys = sample_keys(n, p, rng=trial_rng(200, t))
         st = shape_stats(build_trie(keys))
         b[t] = (st.size, st.kpl, st.npl)
