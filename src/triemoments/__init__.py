@@ -18,7 +18,8 @@ from .asym import (FourierCoeffs, IRRATIONAL, ModelParams, RatioSpec,
 from .errors import (DegenerateVariance, DepthGuardExceeded, GuardExceeded,
                      KeyExhausted, NotPositiveDefinite, PoleError,
                      RatioSpecMismatch, TrieMomentsError,
-                     TruncationNotConverged, VariantUnavailable)
+                     TruncationNotConverged, VariantUnavailable,
+                     WorkBudgetExceeded)
 from .exact import MomentTable, PoissonModel, PoissonSeries, compute
 from .gammafn import cdigamma, cgamma
 from .mc import (JointHistogram, SampleSummary, WhitenReport, joint_histogram,
@@ -36,6 +37,7 @@ __all__ = [
     "DegenerateVariance", "DepthGuardExceeded", "GuardExceeded",
     "KeyExhausted", "NotPositiveDefinite", "PoleError", "RatioSpecMismatch",
     "TrieMomentsError", "TruncationNotConverged", "VariantUnavailable",
+    "WorkBudgetExceeded",
     "MomentTable", "PoissonModel", "PoissonSeries", "compute",
     "cdigamma", "cgamma",
     "JointHistogram", "SampleSummary", "WhitenReport", "joint_histogram",

@@ -18,6 +18,10 @@ class DepthGuardExceeded(TrieMomentsError):
     """Recursive splitting ran past the depth guard."""
 
 
+class WorkBudgetExceeded(TrieMomentsError):
+    """A Monte-Carlo run's estimated work exceeds the sampler's budget."""
+
+
 class GuardExceeded(TrieMomentsError):
     """Poisson series evaluated beyond the radius its length certifies."""
 

@@ -1,12 +1,14 @@
 """Monte-Carlo estimation of trie shape moments, whitening and diagnostics.
 
-Trials are drawn in batches of G(n) = clamp(2**15 // n, 1, 1024) consecutive
-trials, so a batch holds about 2**15 keys, bounding its memory.  Batch b covers
+Trials are drawn in batches of G(n) = clamp(2**16 // n, 1, 1024) consecutive
+trials, so a batch holds about 2**16 keys, bounding its memory.  Batch b covers
 trials [b*G, (b+1)*G) and draws all of them with one ``trie.sample_shapes``
 call from its own counter-derived stream ``trie.trial_rng(seed, b)``.  The
 batch is the stream unit: a sample matrix of k*G trials is a prefix of any
 longer one with the same seed, and a last, shorter batch is drawn with
-fewer tries from its stream.
+fewer tries from its stream.  Before drawing, ``sample_matrix`` refuses
+with WorkBudgetExceeded a run whose batches would hold a trie of more than
+``_MAX_KEYS`` keys or run for more than ``_MAX_LEVELS`` levels.
 
 Every command reduces the full sample matrix (trials x 3 int64, 24 B per
 trial) once, through one centring helper: ``run`` for the mean, covariance,
@@ -25,12 +27,18 @@ import numpy as np
 
 from . import asym, exact
 from .asym import SymMatrix2, invsqrt2
-from .errors import DegenerateVariance
-from .trie import sample_shapes, trial_rng
+from .errors import DegenerateVariance, WorkBudgetExceeded
+from .trie import _check_p, sample_shapes, trial_rng
 
-_BATCH_KEYS = 2 ** 15
+_BATCH_KEYS = 2 ** 16
 _MAX_BATCH = 1024
 _SQRT2 = math.sqrt(2.0)
+# Budget of one batch.  Its memory follows its widest level, about 21 B a
+# key at p = 1/2 (less at skewed p), so 2**24 keys take about 350 MiB.  Its
+# time at tiny p follows its height: a level costs 60-120 us (2-core box,
+# n = 2..1e5, p = 1e-4 and 1e-3), so 1e6 levels take one to two minutes.
+_MAX_KEYS = 2 ** 24
+_MAX_LEVELS = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
@@ -38,15 +46,39 @@ _SQRT2 = math.sqrt(2.0)
 # ---------------------------------------------------------------------------
 
 def _batch_size(n: int) -> int:
-    """Trials per batch, G(n) = clamp(2**15 // n, 1, 1024)."""
+    """Trials per batch, G(n) = clamp(2**16 // n, 1, 1024)."""
     return min(max(_BATCH_KEYS // max(n, 1), 1), _MAX_BATCH)
 
 
+def _batch_height(n: int, p: float, g: int) -> float:
+    """Expected height of a batch of g tries of n keys: the g n(n-1)/2 key
+    pairs each share k more bits with probability (p^2 + q^2)^k, so the
+    longest shared prefix is about log(g n(n-1)/2) / -log(p^2 + q^2)."""
+    if n < 2:
+        return 0.0
+    return math.log(g * n * (n - 1) / 2) / -math.log1p(-2.0 * p * (1.0 - p))
+
+
 def sample_matrix(n: int, p: float, trials: int, seed: int) -> np.ndarray:
-    """(trials, 3) matrix of (S, K, N) samples, deterministic per seed."""
+    """(trials, 3) matrix of (S, K, N) samples, deterministic per seed.
+
+    Raises WorkBudgetExceeded before drawing when n is above _MAX_KEYS or
+    the expected height of a batch (``_batch_height``) is above _MAX_LEVELS.
+    """
     if trials < 2:
         raise ValueError("trials must be >= 2")
+    _check_p(p)
+    if n > _MAX_KEYS:
+        raise WorkBudgetExceeded(
+            f"n={n}: a trie of more than {_MAX_KEYS} keys is above the "
+            f"Monte-Carlo budget (memory of about 21 B a key)")
     g = _batch_size(n)
+    levels = _batch_height(n, p, min(g, trials))
+    if levels > _MAX_LEVELS:
+        raise WorkBudgetExceeded(
+            f"n={n}, p={p}: a batch of tries is expected to run for "
+            f"{levels:.2g} levels, above the Monte-Carlo budget of "
+            f"{_MAX_LEVELS} levels")
     out = np.empty((trials, 3), dtype=np.int64)
     for b, start in enumerate(range(0, trials, g)):
         rows = sample_shapes(n, p, min(g, trials - start), trial_rng(seed, b))

@@ -13,7 +13,9 @@ Two samplers are provided.  ``sample_keys`` + ``build_trie`` materialises
 explicit key prefixes and constructs the trie; ``sample_shapes`` draws the
 same joint law for a batch of independent tries directly, by binomial
 splitting of subtree sizes level by level, in O(size) time per trie and
-without storing keys (``sample_shape`` is a batch of one).  Both are
+without storing keys (``sample_shape`` is a batch of one).  A subtree of at
+most ``_SMALL`` keys draws its split from a Walker alias table with one
+uniform, a larger one from ``rng.binomial``.  Both are
 deterministic given their Generator; Monte-Carlo streams are derived from a
 master seed by counter addressing (see ``trial_rng``), one per batch.
 """
@@ -22,10 +24,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DepthGuardExceeded, KeyExhausted
+from .exact import _binom_weights
+
+# Subtrees of at most _SMALL keys split by a Walker alias lookup, larger ones
+# by rng.binomial.  Row m of the flat alias tables holds columns 0..m and
+# starts at _ROW_START[m] = m(m+1)/2.
+_SMALL = 64
+_ROW_START = np.cumsum(np.arange(_SMALL + 1))
 
 
 @dataclass(frozen=True)
@@ -179,14 +189,73 @@ def sample_keys(n: int, p: float, seed: int | None = None, prefix_len: int = 64,
             for i in range(n)]
 
 
+@lru_cache(maxsize=16)
+def _alias_tables(p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Walker alias tables (prob, alias) of Binomial(m, p), m = 0.._SMALL.
+
+    Row m is built from the pmf of ``exact._binom_weights`` (formed in long
+    double, then rounded) by Vose's pairing: column j of the row keeps j
+    with probability prob[j] and yields alias[j] otherwise, so each column
+    carries mass 1/(m+1).  A column left full keeps prob 1 and aliases
+    itself.
+    """
+    size = int(_ROW_START[-1]) + _SMALL + 1
+    prob = np.ones(size)
+    alias = np.arange(size) - np.repeat(_ROW_START, np.arange(1, _SMALL + 2))
+    p = np.longdouble(p)
+    for m in range(_SMALL + 1):
+        start = int(_ROW_START[m])
+        mass = (_binom_weights(m, p, 1 - p, np.longdouble)
+                .astype(np.float64) * (m + 1)).tolist()
+        small = [j for j, w in enumerate(mass) if w < 1.0]
+        large = [j for j, w in enumerate(mass) if w >= 1.0]
+        while small and large:
+            s, g = small.pop(), large[-1]
+            prob[start + s] = mass[s]
+            alias[start + s] = g
+            mass[g] = (mass[g] + mass[s]) - 1.0
+            if mass[g] < 1.0:
+                small.append(large.pop())
+    prob.flags.writeable = alias.flags.writeable = False   # shared by cache
+    return prob, alias
+
+
+def _alias_split(m: np.ndarray, u: np.ndarray, prob: np.ndarray,
+                 alias: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write into ``out`` the left-subtree key counts of nodes with m keys,
+    Binomial(m, p) each, and return it.
+
+    One uniform per node from [0, 1) (overwritten): the column is
+    j = min(floor(u (m+1)), m), and the fraction u (m+1) - j, resolved to
+    (m+1) 2**-53 <= 2**-47, is compared with prob to keep j or take its
+    alias.  Rows are clipped to _SMALL, so nodes with more keys get a
+    Binomial(_SMALL, p) placeholder for the caller to overwrite.
+    """
+    row = np.minimum(m, _SMALL)
+    j = row + 1
+    u *= j
+    np.copyto(j, u, casting="unsafe")     # floor: u (m+1) >= 0
+    np.minimum(j, row, out=j)
+    u -= j
+    np.take(_ROW_START, row, out=row)
+    row += j
+    keep = u < prob.take(row)
+    np.take(alias, row, out=out)
+    np.copyto(out, j, where=keep)
+    return out
+
+
 def sample_shapes(n: int, p: float, count: int, rng: np.random.Generator,
                   max_depth: int | None = None) -> np.ndarray:
     """Sample ``count`` independent tries of n keys with the exact trie law.
 
     Returns a (count, 4) int64 array with columns size, kpl, npl, height.
-    Level-synchronous binomial splitting of every trie at once: the subtree
-    sizes of all tries at one depth are split by a single vectorised
-    binomial draw.  Each trie's nodes stay contiguous, with the children of
+    Level-synchronous splitting of every trie at once: each depth draws one
+    uniform per internal node of every trie, and a node of m <= _SMALL keys
+    gets its left-subtree size from the Walker alias table of
+    Binomial(m, p) (``_alias_tables``, cached per p; Devroye 1986, III.4).
+    Only nodes with more keys go through one vectorised ``rng.binomial``
+    call per depth.  Each trie's nodes stay contiguous, with the children of
     a node interleaved left then right, so a trie's share of a level is
     found from cumulative counts at the trie boundaries.  The path lengths
     use K = sum over internal nodes of their key counts (a key's depth is
@@ -208,10 +277,15 @@ def sample_shapes(n: int, p: float, count: int, rng: np.random.Generator,
     active = np.full(count, n, dtype=np.int64)   # keys under each internal node
     # ends[t]: internal nodes of tries 0..t at this depth, so trie t owns
     # active[ends[t-1]:ends[t]] and children[2*ends[t-1]:2*ends[t]].  Each
-    # depth records ends and the keys under those nodes, both cumulative
-    # over t; a trie's totals are the differences between t-1 and t.
+    # depth adds its per-trie node counts (differences of ends) and the keys
+    # under tries 0..t into count-sized totals, so memory does not grow with
+    # the depth.
     ends = np.arange(1, count + 1)
-    level_ends, level_keys = [], []
+    out = np.zeros((count, 4), dtype=np.int64)
+    size, kpl, npl, height = out.T
+    keys_cum = np.zeros(count, dtype=np.int64)   # keys under tries 0..t
+    prob, alias = _alias_tables(p)
+    big = ends      # non-empty, so the first depth looks for big nodes
     d = 0
     while active.size:
         if d > max_depth:
@@ -219,22 +293,23 @@ def sample_shapes(n: int, p: float, count: int, rng: np.random.Generator,
                 f"splitting recursion past depth {max_depth} at n={n}, p={p}")
         children = np.empty(2 * active.size, dtype=np.int64)
         left = children[0::2]
-        left[:] = rng.binomial(active, p)
+        _alias_split(active, rng.random(active.size), prob, alias, left)
+        if big.size:   # subtree sizes only shrink with depth
+            big = np.flatnonzero(active > _SMALL)
+            left[big] = rng.binomial(active.take(big), p)
         np.subtract(active, left, out=children[1::2])
         keys = np.zeros(active.size + 1, dtype=np.int64)
         np.cumsum(active, out=keys[1:])
-        level_ends.append(ends)
-        level_keys.append(keys[ends])
+        keys_cum += keys.take(ends)
+        nodes = np.diff(ends, prepend=0)
+        size += nodes
+        npl += d * nodes
+        height += nodes > 0
         kept = np.flatnonzero(children >= 2)
         active = children.take(kept)
         ends = np.searchsorted(kept, 2 * ends)
         d += 1
-    nodes = np.diff(level_ends, axis=1, prepend=0)   # (depth, count)
-    out = np.empty((count, 4), dtype=np.int64)
-    out[:, 0] = nodes.sum(axis=0)
-    out[:, 1] = np.diff(np.sum(level_keys, axis=0), prepend=0)
-    out[:, 2] = np.arange(d) @ nodes
-    out[:, 3] = np.count_nonzero(nodes, axis=0)
+    kpl[:] = np.diff(keys_cum, prepend=0)
     return out
 
 

@@ -311,6 +311,10 @@ BAD_INPUT = [  # (arguments, exit code)
     # sin(pi z) in the gamma reflection overflows
     (["asym", "--p", "0.47331101329926406"], 0),
     (["asym", "--p", "0.49727104254994325"], 0),
+    # above the Monte-Carlo work budget: millions of unary levels at tiny
+    # p, and 1.4e10 nodes at n = 1e8
+    (["simulate", "--p", "1e-6", "--n", "100", "--trials", "100"], 3),
+    (["simulate", "--p", "0.5", "--n", "100000000", "--trials", "100"], 3),
 ]
 
 

@@ -85,6 +85,16 @@ def test_digamma_half():
     assert abs(cdigamma(0.5).real - want) < 1e-13
 
 
+@pytest.mark.parametrize("x", [-60.5, -0.5, 0.25, 60.0, 400.0])
+@pytest.mark.parametrize("y", [250.0, -250.0, 400.0, 1e4])
+def test_digamma_off_strip_matches_mpmath(x, y):
+    # far outside |Re z|, |Im z| <= 40: the reflection's pi / tan(pi z) at
+    # large |Im z| and the Bernoulli tail at large |z|
+    with mpmath.workdps(30):
+        want = complex(mpmath.digamma(mpmath.mpc(x, y)))
+    assert abs(cdigamma(complex(x, y)) - want) <= 1e-13 * abs(want)
+
+
 def test_digamma_pole():
     with pytest.raises(PoleError):
         cdigamma(-4)

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import assert_close, table, two_key_oracle
-from triemoments import (DegenerateVariance, NotPositiveDefinite, run, whiten,
-                         joint_histogram)
+from triemoments import (DegenerateVariance, NotPositiveDefinite,
+                         WorkBudgetExceeded, run, whiten, joint_histogram)
 from triemoments.exact import compute as exact_compute
-from triemoments.mc import (_batch_size, ks_normal,
+from triemoments.mc import (_MAX_KEYS, _MAX_LEVELS, _batch_height,
+                            _batch_size, ks_normal,
                             marginal_diagnostics, sample_matrix)
 from triemoments.trie import sample_shapes, trial_rng
 
@@ -200,7 +201,7 @@ class TestHistogram:
 def test_sample_matrix_chunk_invariance():
     # batch b holds trials [b*G, (b+1)*G) and draws them together from
     # stream b, so a whole number of batches is a prefix of any longer
-    # sample; G = 1024 at n = 32 and 327 at n = 100
+    # sample; G = 1024 at n = 32 and 655 at n = 100
     for n in (32, 100):
         g = _batch_size(n)
         x = sample_matrix(n, 0.4, 2 * g + 5, seed=3)
@@ -208,6 +209,37 @@ def test_sample_matrix_chunk_invariance():
             want = sample_shapes(n, 0.4, count, trial_rng(3, b))[:, :3]
             assert np.array_equal(x[b * g:b * g + count], want), (n, b)
         assert np.array_equal(sample_matrix(n, 0.4, 2 * g, seed=3), x[:2 * g])
+
+
+def test_work_budget_refuses_before_drawing(monkeypatch):
+    # a batch is bounded in keys (memory) and in expected height (time at
+    # tiny p); the largest runs of the tests and the README keep at least
+    # 2x headroom: n = 1e5 at p = 0.1 (one trie per batch) and
+    # whiten --p 1e-4 --n 1000 --trials 200
+    assert 2 * 100_000 < _MAX_KEYS
+    assert 2 * _batch_height(100_000, 0.1, 1) < _MAX_LEVELS
+    assert 2 * _batch_height(1000, 1e-4, _batch_size(1000)) < _MAX_LEVELS
+
+    def no_draws(*args):
+        raise AssertionError("sampled past the budget")
+
+    monkeypatch.setattr("triemoments.mc.sample_shapes", no_draws)
+    with pytest.raises(WorkBudgetExceeded,
+                       match=f"budget of {_MAX_LEVELS} levels"):
+        sample_matrix(100, 1e-6, 100, seed=0)
+    with pytest.raises(WorkBudgetExceeded, match=f"more than {_MAX_KEYS} keys"):
+        run(10 ** 8, 0.5, 100)
+    with pytest.raises(ValueError, match="1 - p"):
+        sample_matrix(16, 1e-17, 100, seed=0)
+
+
+@pytest.mark.parametrize("n,p", [(100, 0.01), (2, 0.01), (4096, 0.5)])
+def test_batch_height_estimate_tracks_sampler(n, p):
+    # the level budget rests on this estimate: a batch's height is the
+    # longest prefix shared by any of its g n(n-1)/2 key pairs
+    g = _batch_size(n)
+    height = sample_shapes(n, p, g, trial_rng(5, 0))[:, 3].max()
+    assert 0.7 < height / _batch_height(n, p, g) < 1.5
 
 
 def test_sample_matrix_trials_floor():

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from conftest import assert_close, two_key_oracle
 from triemoments import (DepthGuardExceeded, Key, KeyExhausted, build_trie,
                          sample_keys, sample_shape, sample_shapes, shape_stats,
                          trial_rng)
+from triemoments.exact import compute as exact_compute
+from triemoments.trie import _ROW_START, _SMALL, _alias_split, _alias_tables
 
 # the seven records of the worked example; the last string is adjusted to
 # match the drawn split structure (the printed figure string branches one
@@ -192,6 +196,72 @@ def test_sample_shapes_invariants(n, p, count, seed):
     y = sample_shapes(2, p, count, trial_rng(seed, 1))
     assert (y[:, 1] == 2 * y[:, 0]).all()
     assert (y[:, 3] == y[:, 0]).all()
+
+
+@pytest.mark.parametrize("p", [0.02, 0.1, 0.3, 0.5, 0.9])
+def test_alias_tables_match_rational_pmf(p):
+    # the pmf each row's (prob, alias) implies, in exact rationals, against
+    # the Binomial(m, p) pmf of the float p
+    prob, alias = _alias_tables(p)
+    pf = Fraction(p)
+    worst = Fraction(0)
+    for m in range(_SMALL + 1):
+        cols = range(_ROW_START[m], _ROW_START[m] + m + 1)
+        mass = [Fraction(prob[c]) for c in cols]
+        for c in cols:
+            mass[alias[c]] += 1 - Fraction(prob[c])
+        for k in range(m + 1):
+            want = math.comb(m, k) * pf ** k * (1 - pf) ** (m - k)
+            worst = max(worst, abs(mass[k] / (m + 1) - want))
+    assert worst <= 1e-15, float(worst)
+
+
+def test_alias_last_uniform_stays_in_row():
+    # u just below 1 must land in column m of row m, never in the next row
+    # or past the table's end
+    prob, alias = _alias_tables(0.3)
+    m = np.arange(_SMALL + 1)
+    u = np.full(m.size, np.nextafter(1.0, 0.0))
+    k = _alias_split(m, u, prob, alias, np.empty(m.size, dtype=np.int64))
+    last = alias[_ROW_START + m]
+    assert ((k == m) | (k == last)).all()
+    assert ((0 <= k) & (k <= m)).all()
+
+
+@pytest.mark.parametrize("p", [0.1, 0.9])
+@pytest.mark.parametrize("n", [_SMALL, _SMALL + 1])
+def test_sample_shapes_law_at_alias_threshold(n, p):
+    # a root of _SMALL keys is split by the alias table, one more key sends
+    # it through rng.binomial: means and variances of S, K and N within
+    # 4 standard errors of the exact moments either way
+    count = 10_000
+    x = sample_shapes(n, p, count, trial_rng(71, n))[:, :3].astype(float)
+    t = exact_compute(p, n)
+    exact = [(t.mean_S(n), t.var_S(n)), (t.mean_K(n), t.var_K(n)),
+             (t.mean_N(n), t.var_N(n))]
+    for col, (mean, var), name in zip(x.T, exact, "SKN"):
+        dev = col - col.mean()
+        m4 = (dev ** 4).mean()
+        assert abs(col.mean() - mean) < 4 * math.sqrt(var / count), name
+        se_var = math.sqrt((m4 - var * var) / count)
+        assert abs(dev.var(ddof=1) - var) < 4 * se_var, name
+
+
+def test_sample_shapes_memory_does_not_grow_with_depth():
+    # at p = 3e-3 a batch of 100 tries runs for about 2,200 levels; keeping
+    # one count-sized record per level would take about 40 B x levels x
+    # tries = 8.5 MB, the running totals take a few kB (the alias tables
+    # are built before tracing)
+    _alias_tables(3e-3)
+    rng = trial_rng(9, 0)
+    tracemalloc.start()
+    try:
+        x = sample_shapes(100, 3e-3, 100, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x[:, 3].max() > 1500
+    assert peak < 2 ** 18
 
 
 def test_samplers_share_law_small_n():
