@@ -8,7 +8,7 @@ partial is ever left at the target path.
 
 Exit codes: 0 success, 2 usage/validation, 3 numeric failure
 (series not converged/positive-definiteness/guards/floating-point
-overflow), 4 I/O failure.
+overflow) or a Monte-Carlo batch above the work budget, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import tempfile
 import numpy as np
 
 from . import asym, exact, mc
-from .errors import RatioSpecMismatch, TrieMomentsError
+from .errors import RatioSpecMismatch, TrieMomentsError, WorkBudgetExceeded
 
 _MAX_NMAX = 30_000
 
@@ -363,6 +363,9 @@ def main(argv=None) -> int:
     except (ValueError, RatioSpecMismatch) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except WorkBudgetExceeded as e:
+        print(f"work budget exceeded: {e}", file=sys.stderr)
+        return 3
     except (TrieMomentsError, ArithmeticError) as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return 3

@@ -5,9 +5,9 @@ of split type: the left subtree receives Binom(n, p) keys, the right the
 rest, the two subtrees are independent, and the tolls are +1 (size), +n
 (KPL) and +(left size + right size) (NPL).  Conditioning on the split and
 applying the laws of total expectation and total covariance turns these
-into an O(n_max^2) dynamic program over the means and the centred second
-moments: Var S, Var K, Var N, Cov(S, K) and Cov(S, N).  Given the split k,
-the conditional covariance is the sum of the two subtrees' covariances and
+into a dynamic program over the means and the centred second moments:
+Var S, Var K, Var N, Cov(S, K) and Cov(S, N).  Given the split k, the
+conditional covariance is the sum of the two subtrees' covariances and
 the conditional means deviate from the new means by
 
     d_S(k) = 1 + ES(k) + ES(n-k) - ES(n)
@@ -18,9 +18,22 @@ each of the order of a standard deviation, so no term cancels and the
 variances need no subtraction of nearly equal raw moments.  The k = 0 and
 k = n split outcomes reproduce the parent quantity itself; those self-terms
 are moved to the left-hand side, so each step divides by 1 - p^n - q^n.
-Each n costs two reductions: the (8, n-1) block of earlier moments against
-the symmetrised weights w(k) + w(n-k), and the 3x3 weighted Gram matrix of
-the deviations.
+
+Each n sums only over the split outcomes k in a window [lo(n), hi(n)] =
+k0 -+ t around the mode k0, with t = ceil(sqrt(121 ln 2 n / 2)) fixed a
+priori by Hoeffding's bound so that each tail outside carries at most
+2^-121 of the binomial mass, far below the float64 and long double
+roundoff of 2^-53 and 2^-64 (``_windows``).  The window is at most
+2 t + 1, about 13 sqrt(n), outcomes wide (831 at n = 4096), so the DP does
+O(n_max^1.5) element work instead of O(n_max^2) and skips the far tails,
+where the full pmf underflows.  Only at tiny p does the window itself
+reach past underflow; the zero and subnormal weights at its ends are then
+dropped (at most (n + 1) * tiny more mass), so none enters the sums.
+
+Each n costs the weights over its window and two reductions: the linear
+fold sum_k w(k) (M(k) + M(n-k)) of the (8, width) block of earlier
+moments, and the 3x3 weighted Gram matrix of the deviations.  The
+self-terms k = 0 and k = n count only when they fall inside the window.
 
 Within one n the update order is fixed by data dependence:
 
@@ -33,11 +46,11 @@ Precision modes
 ---------------
 Both modes run the one centred recurrence below; they differ only in the
 dtype its weights and moments are carried in.  Binomial weights come from
-a mode-centred multiplicative recurrence with renormalisation, the linear
-reduction is numpy's pairwise sum and the Gram matrix one matmul, so
-output is byte-identical per machine and BLAS build.  The raw moments
-ES2 ... ESN are derived as Var + mean * mean in the working dtype, and
-every array is rounded to float64 once at the end.
+a mode-centred multiplicative recurrence with renormalisation over the
+window, the linear reduction is numpy's pairwise sum and the Gram matrix
+one matmul, so output is byte-identical per machine and BLAS build.  The
+raw moments ES2 ... ESN are derived as Var + mean * mean in the working
+dtype, and every array is rounded to float64 once at the end.
 
 standard   float64.
 extended   long double, which needs a 64-bit significand (x86-64); with
@@ -71,6 +84,10 @@ _MEANS = ("ES", "EK", "EN")
 _CENTRED = {"VarS": ("ES2", "ES", "ES"), "VarK": ("EK2", "EK", "EK"),
             "CovSK": ("ESK", "ES", "EK"), "CovSN": ("ESN", "ES", "EN"),
             "VarN": ("EN2", "EN", "EN")}
+# Each tail outside the DP's window carries at most 2^-_TAIL_BITS of the
+# binomial mass, far below the 2^-53 (2^-64) roundoff of the float64 (long
+# double) sums (Hoeffding, see _windows).
+_TAIL_BITS = 121
 
 
 def _canonical(p: float) -> tuple[float, float]:
@@ -85,27 +102,48 @@ def _canonical(p: float) -> tuple[float, float]:
     return 1.0 - q_eff, q_eff
 
 
-def _binom_weights(n: int, p: float, q: float, dtype=np.float64) -> np.ndarray:
-    """Binomial(n, p) pmf by multiplicative recurrence outward from the mode.
+def _binom_weights(n: int, p: float, q: float, dtype=np.float64,
+                   lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Binomial(n, p) pmf at k = lo..hi (default 0..n), by multiplicative
+    recurrence outward from the mode, which must lie in [lo, hi].
 
     The mode value is seeded in log space (no under/overflow for any n) and
     the vector is renormalised so the weights sum to 1 exactly to rounding.
-    The ratios, products and sum are formed in ``dtype``.
+    The ratios, products and sum are formed in ``dtype``.  Up to that sum,
+    a window's entries are bit-identical to the full vector's.
     """
+    hi = n if hi is None else hi
     k0 = min(max(int((n + 1) * p), 0), n)
-    w = np.empty(n + 1, dtype)
-    w[k0] = 1.0
-    if k0 < n:
-        ks = np.arange(k0, n, dtype=dtype)
-        w[k0 + 1:] = np.cumprod(((n - ks) * p) / ((ks + 1.0) * q))
-    if k0 > 0:
-        ks = np.arange(k0, 0, -1, dtype=dtype)
-        w[k0 - 1::-1] = np.cumprod((ks * q) / ((n - ks + 1.0) * p))
+    j = k0 - lo
+    ks = np.arange(lo, hi, dtype=dtype)
+    a = (n - ks) * p          # w(k+1) / w(k) = a / b at k = ks
+    b = (ks + 1.0) * q
+    w = np.empty(hi - lo + 1, dtype)
+    w[j] = 1.0
+    w[j + 1:] = np.multiply.accumulate(a[j:] / b[j:])
+    if j > 0:
+        w[j - 1::-1] = np.multiply.accumulate(b[j - 1::-1] / a[j - 1::-1])
     logw0 = (math.lgamma(n + 1) - math.lgamma(k0 + 1) - math.lgamma(n - k0 + 1)
              + k0 * math.log(p) + (n - k0) * math.log(q))
     w *= math.exp(logw0)
     w /= w.sum()
     return w
+
+
+def _windows(n_max: int, p: float) -> tuple[list, list]:
+    """The split outcomes [lo(n), hi(n)], n = 0..n_max, the DP sums over.
+
+    The window is k0 -+ t around the mode k0 = floor((n + 1) p), with
+    t = ceil(sqrt(n * _TAIL_BITS * ln 2 / 2)), clipped to 0..n.  As
+    np - 1 < k0 <= np + p, every outcome outside it lies more than t from
+    np, and Hoeffding's bound exp(-2 t^2 / n) on P(X - np >= t) and on
+    P(X - np <= -t) puts at most 2^-_TAIL_BITS of the Binomial(n, p) mass
+    beyond either end.
+    """
+    n = np.arange(n_max + 1)
+    t = np.ceil(np.sqrt(n * (_TAIL_BITS * math.log(2.0) / 2.0))).astype(np.int64)
+    k0 = np.minimum(((n + 1) * p).astype(np.int64), n)
+    return np.maximum(k0 - t, 0).tolist(), np.minimum(k0 + t, n).tolist()
 
 
 @dataclass(frozen=True)
@@ -192,16 +230,24 @@ class MomentTable:
     _CSV_COLUMNS = ("n", "ES", "EK", "EN", "VarS", "VarK", "VarN",
                     "CovSK", "CovSN", "RhoSK", "RhoSN")
 
-    def _row(self, n: int) -> list:
-        rho_sk = rho_sn = float("nan")
-        if n >= 2:
-            rho_sk, rho_sn = self.rho_SK(n), self.rho_SN(n)
-        return [n, self.mean_S(n), self.mean_K(n), self.mean_N(n),
-                self.var_S(n), self.var_K(n), self.var_N(n),
-                self.cov_SK(n), self.cov_SN(n), rho_sk, rho_sn]
-
     def config(self) -> dict:
         return {"p": self.p, "n_max": self.n_max, "precision": self.precision}
+
+    def _columns(self) -> list:
+        """The serialised columns, each a list of Python numbers.
+
+        The correlations are nan for n < 2; a variance <= 0 at n >= 2
+        raises DegenerateVariance, as the rho accessors do.
+        """
+        vs, vk, vn = self.VarS[2:], self.VarK[2:], self.VarN[2:]
+        bad = np.flatnonzero((vs <= 0.0) | (vk <= 0.0) | (vn <= 0.0))
+        if bad.size:
+            raise DegenerateVariance(f"correlation undefined at n={bad[0] + 2}")
+        nan = [math.nan] * 2
+        return ([list(range(self.n_max + 1))]
+                + [getattr(self, name).tolist() for name in self._CSV_COLUMNS[1:9]]
+                + [nan + (self.CovSK[2:] / np.sqrt(vs * vk)).tolist(),
+                   nan + (self.CovSN[2:] / np.sqrt(vs * vn)).tolist()])
 
     def to_csv(self, extra_config: dict | None = None) -> str:
         cfg = dict(self.config())
@@ -209,19 +255,14 @@ class MomentTable:
             cfg.update(extra_config)
         cfg_line = "# config: " + " ".join(f"{k}={v}" for k, v in sorted(cfg.items()))
         lines = [cfg_line, ",".join(self._CSV_COLUMNS)]
-        for n in range(self.n_max + 1):
-            row = self._row(n)
-            lines.append(",".join([str(row[0])] + [repr(float(x)) for x in row[1:]]))
+        lines += [",".join(map(repr, row)) for row in zip(*self._columns())]
         return "\n".join(lines) + "\n"
 
     def to_json(self, extra_config: dict | None = None) -> str:
         cfg = dict(self.config())
         if extra_config:
             cfg.update(extra_config)
-        cols = {name: [] for name in self._CSV_COLUMNS}
-        for n in range(self.n_max + 1):
-            for name, val in zip(self._CSV_COLUMNS, self._row(n)):
-                cols[name].append(val if name == "n" else float(val))
+        cols = dict(zip(self._CSV_COLUMNS, self._columns()))
         return json.dumps({"config": cfg, "columns": cols}, allow_nan=True)
 
 
@@ -229,24 +270,38 @@ def _compute_centred(p: float, q: float, n_max: int, dtype) -> dict:
     # Row order of M: the three means, then the five centred second moments.
     M = np.zeros((8, n_max + 1), dtype)
     mS, mK, mN, vSS, vKK, vSK, vSN, vNN = M
+    lows, highs = _windows(n_max, p)
+    tiny = np.finfo(dtype).tiny
     for n in range(2, n_max + 1):
-        w = _binom_weights(n, p, q, dtype)
-        wb = w[0] + w[n]
+        lo, hi = lows[n], highs[n]
+        w = _binom_weights(n, p, q, dtype, lo, hi)
+        if w[0] < tiny or w[-1] < tiny:
+            # at tiny p the window reaches past underflow: drop the zero and
+            # subnormal weights at its ends (the pmf is unimodal)
+            keep = np.flatnonzero(w >= tiny)
+            lo, hi = lo + int(keep[0]), lo + int(keep[-1])
+            w = w[keep[0]:keep[-1] + 1]
+        # the k = 0 and k = n outcomes reproduce the parent (self-terms)
+        wb = 0.0
+        if lo == 0:
+            wb, w, lo = w[0], w[1:], 1
+        if hi == n:
+            wb, w, hi = wb + w[-1], w[:-1], n - 1
         denom = 1.0 - wb
-        # Every k-term pairs X(k) with X(n-k), so linear terms fold onto the
-        # symmetrised weights; pairwise .sum keeps the order fixed.
-        ws = w[1:n] + w[n - 1:0:-1]
-        lin = (M[:, 1:n] * ws).sum(axis=1)
+        # S[:, j] = X(k) + X(n - k) at k = lo + j; the pairwise .sum keeps
+        # the order fixed
+        S = M[:, lo:hi + 1] + M[:, n - lo:n - hi - 1:-1]
+        lin = (S * w).sum(axis=1)
         mS[n] = ms = (lin[0] + 1.0) / denom
         mK[n] = mk = (lin[1] + n) / denom
         mN[n] = mn = (lin[2] + lin[0] + wb * ms) / denom
         # deviations of the conditional means from the new means, O(sqrt Var)
-        D = M[:3, 1:n] + M[:3, n - 1:0:-1]
+        D = S[:3]
         D[2] += D[0]             # N's toll is the two subtree sizes
         D[0] += 1.0 - ms
         D[1] += n - mk
         D[2] -= mn
-        Q = (D * w[1:n]) @ D.T
+        Q = (D * w) @ D.T
         vSS[n] = vss = (lin[3] + Q[0, 0] + wb) / denom
         vKK[n] = (lin[4] + Q[1, 1] + wb * (float(n) * n)) / denom
         vSK[n] = (lin[5] + Q[0, 1] + wb * n) / denom

@@ -330,3 +330,5 @@ def test_bad_input_fails_fast(args, code):
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert elapsed < 10.0
+    if args[0] == "simulate" and code == 3:     # the work-budget rows
+        assert proc.stderr.startswith("work budget exceeded: "), proc.stderr

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -9,7 +10,7 @@ from mpmath import mp, mpf
 from conftest import assert_close, table, two_key_oracle
 from triemoments import DegenerateVariance, compute
 from triemoments.asym import IRRATIONAL, g2_general, params
-from triemoments.exact import _binom_weights
+from triemoments.exact import _TAIL_BITS, _binom_weights, _windows
 
 
 class TestWeights:
@@ -33,6 +34,56 @@ class TestWeights:
         for k in (0, 1, 7, 15, 30):
             want = float(math.comb(n, k) * pf ** k * (1 - pf) ** (n - k))
             assert abs(w[k] - want) < 1e-13 * want
+
+    @pytest.mark.parametrize("n,p", [(2, 0.5), (100, 0.3), (4096, 0.3),
+                                     (4096, 0.02), (30000, 0.5), (30000, 1e-3)])
+    def test_window_matches_full_slice(self, n, p):
+        # the DP's windowed weights are the full pmf's, up to the
+        # renormalising sum over the window
+        lo, hi = (b[n] for b in _windows(n, p))
+        w = _binom_weights(n, p, 1.0 - p, np.float64, lo, hi)
+        full = _binom_weights(n, p, 1.0 - p)
+        np.testing.assert_allclose(w, full[lo:hi + 1], rtol=1e-15, atol=0.0)
+
+
+def _mass_above(n: np.ndarray, k: np.ndarray, p: float) -> np.ndarray:
+    """P(X > k) for X ~ Binomial(n, p), elementwise, in log space.
+
+    Terms are summed outward from k + 1 until each falls below 2^-200 and
+    has passed the mode; the pmf falls from there on, so the n terms left
+    add at most n times the last one, which is added as the remainder.
+    """
+    lf = np.array([math.lgamma(i + 1) for i in range(int(n.max()) + 1)])
+    lp, lq = math.log(p), math.log1p(-p)
+    total = np.zeros(n.shape)
+    j = k + 1
+    while True:
+        live = j <= n
+        jj = np.where(live, j, n)
+        log_pmf = lf[n] - lf[jj] - lf[n - jj] + jj * lp + (n - jj) * lq
+        term = np.where(live, np.exp(log_pmf), 0.0)
+        total += term
+        done = ~live | ((term < 2.0 ** -200) & (jj > (n + 1) * p))
+        if done.all():
+            return total + n * term
+        j = j + 1
+
+
+@pytest.mark.parametrize("p", [0.5, 0.3, 0.02, 1e-3, 1e-6])
+def test_window_tails_below_bound(p):
+    # every n up to the CLI cap: the binomial mass beyond each end of the
+    # DP's window, summed independently of the package, is at most
+    # 2^-_TAIL_BITS, and the window holds the mode the weights start from
+    n_max = 30_000
+    lo, hi = (np.array(b) for b in _windows(n_max, p))
+    n = np.arange(n_max + 1)
+    mode = np.minimum(((n + 1) * p).astype(np.int64), n)
+    assert ((lo <= mode) & (mode <= hi)).all()
+    bound = 2.0 ** -_TAIL_BITS
+    above = _mass_above(n[2:], hi[2:], p)
+    below = _mass_above(n[2:], n[2:] - lo[2:], 1.0 - p)   # n - X is Binomial(n, q)
+    assert above.max() <= bound, (above.max(), int(above.argmax()) + 2)
+    assert below.max() <= bound, (below.max(), int(below.argmax()) + 2)
 
 
 @pytest.mark.parametrize("p", [0.5, 0.3])
@@ -88,7 +139,7 @@ def test_exchange_symmetry_is_bitwise(p):
     # p and 1 - p share one canonical parameter pair, so the DP tables and
     # the asymptotic constants come out bit-identical, not merely close
     q = 1.0 - p
-    a, b = compute(p, 64), compute(q, 64)
+    a, b = compute(p, 512), compute(q, 512)
     for name in ("ES", "EK", "EN", "ES2", "EK2", "EN2", "ESK", "ESN",
                  "VarS", "VarK", "VarN", "CovSK", "CovSN"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
@@ -168,6 +219,39 @@ def test_json_export():
     assert doc["config"]["tool"] == "test"
     assert len(doc["columns"]["ES"]) == 9
     assert doc["columns"]["ES"][2] == pytest.approx(1 / (2 * 0.3 * 0.7))
+
+
+@pytest.mark.parametrize("p,n_max", [(0.5, 8), (0.3, 300)])
+def test_serialisation_matches_accessors(p, n_max):
+    # the column-wise writers against a row-by-row reference built from
+    # the accessors
+    t = compute(p, n_max)
+    rows = []
+    for n in range(n_max + 1):
+        rho_sk = rho_sn = float("nan")
+        if n >= 2:
+            rho_sk, rho_sn = t.rho_SK(n), t.rho_SN(n)
+        rows.append([n, t.mean_S(n), t.mean_K(n), t.mean_N(n), t.var_S(n),
+                     t.var_K(n), t.var_N(n), t.cov_SK(n), t.cov_SN(n),
+                     rho_sk, rho_sn])
+    lines = t.to_csv().splitlines()[2:]
+    assert lines == [",".join([str(r[0])] + [repr(x) for x in r[1:]])
+                     for r in rows]
+    import json
+    cols = json.loads(t.to_json())["columns"]
+    assert cols["n"] == list(range(n_max + 1))
+    assert repr(cols["RhoSN"]) == repr([r[10] for r in rows])
+
+
+@pytest.mark.parametrize("name", ["VarS", "VarK", "VarN"])
+def test_serialisation_refuses_degenerate_variance(name):
+    t = compute(0.3, 16)
+    bad = getattr(t, name).copy()
+    bad[7] = 0.0
+    t = dataclasses.replace(t, **{name: bad})
+    for write in (t.to_csv, t.to_json):
+        with pytest.raises(DegenerateVariance, match="n=7"):
+            write()
 
 
 def test_depth_accessor_is_mean_K_over_n():

@@ -216,6 +216,22 @@ def test_alias_tables_match_rational_pmf(p):
     assert worst <= 1e-15, float(worst)
 
 
+@pytest.mark.parametrize("p", [0.02, 0.1, 0.5])
+def test_alias_rows_have_full_support(p):
+    # the tables are built from the full-support pmf, not the exact DP's
+    # window: every outcome whose Binomial(m, p) mass is a normal float64
+    # must be drawable
+    prob, alias = _alias_tables(p)
+    pf, tiny = Fraction(p), Fraction(np.finfo(np.float64).tiny)
+    for m in range(_SMALL + 1):
+        cols = np.arange(_ROW_START[m], _ROW_START[m] + m + 1)
+        mass = prob[cols].copy()
+        np.add.at(mass, alias[cols], 1.0 - prob[cols])
+        for k in range(m + 1):
+            if math.comb(m, k) * pf ** k * (1 - pf) ** (m - k) >= tiny:
+                assert mass[k] > 0.0, (m, k)
+
+
 def test_alias_last_uniform_stays_in_row():
     # u just below 1 must land in column m of row m, never in the next row
     # or past the table's end
