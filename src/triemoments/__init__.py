@@ -18,8 +18,7 @@ from .asym import (FourierCoeffs, IRRATIONAL, ModelParams, RatioSpec,
 from .errors import (DegenerateVariance, DepthGuardExceeded, GuardExceeded,
                      KeyExhausted, NotPositiveDefinite, PoleError,
                      RatioSpecMismatch, TrieMomentsError,
-                     TruncationNotConverged, VariantUnavailable,
-                     WorkBudgetExceeded)
+                     TruncationNotConverged, WorkBudgetExceeded)
 from .exact import MomentTable, PoissonModel, PoissonSeries, compute
 from .gammafn import cdigamma, cgamma
 from .mc import (JointHistogram, SampleSummary, WhitenReport, joint_histogram,
@@ -36,8 +35,7 @@ __all__ = [
     "sigma_matrix", "sqrt2", "sym_coeffs",
     "DegenerateVariance", "DepthGuardExceeded", "GuardExceeded",
     "KeyExhausted", "NotPositiveDefinite", "PoleError", "RatioSpecMismatch",
-    "TrieMomentsError", "TruncationNotConverged", "VariantUnavailable",
-    "WorkBudgetExceeded",
+    "TrieMomentsError", "TruncationNotConverged", "WorkBudgetExceeded",
     "MomentTable", "PoissonModel", "PoissonSeries", "compute",
     "cdigamma", "cgamma",
     "JointHistogram", "SampleSummary", "WhitenReport", "joint_histogram",

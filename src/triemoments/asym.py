@@ -38,8 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (NotPositiveDefinite, RatioSpecMismatch,
-                     TruncationNotConverged, VariantUnavailable)
+from .errors import NotPositiveDefinite, RatioSpecMismatch, TruncationNotConverged
 from .exact import _canonical
 from .gammafn import EULER_GAMMA, cdigamma, cgamma
 
@@ -122,11 +121,7 @@ class ModelParams:
 
 def params(p: float, ratio_spec: RatioSpec | str | None = None) -> ModelParams:
     """Build ModelParams, cross-checking both algebraic forms of lambda."""
-    if not (0.0 < p < 1.0):
-        raise ValueError("p must be in (0,1)")
     p_c, q_c = _canonical(p)
-    if p_c == 0.0:
-        raise ValueError(f"p={p!r} is too close to 0: 1 - p rounds to 1")
     lp, lq = math.log(p_c), math.log(q_c)
     h = -(p_c * lp + q_c * lq)
     lam = p_c * q_c * (lp - lq) ** 2 / h ** 3
@@ -328,7 +323,8 @@ class FourierCoeffs:
             if abs(v) >= g0:
                 raise ValueError("coefficient magnitudes must decay in |k|")
 
-    def to_json_dict(self) -> dict:
+    def doc(self) -> dict:
+        """The coefficients as Python numbers, for the result document."""
         return {
             "family": self.family,
             "p": self.p,
@@ -453,13 +449,13 @@ def invsqrt2(m: SymMatrix2) -> SymMatrix2:
 
 def sigma_matrix(model: ModelParams, n: float, k_max: int = 5) -> SymMatrix2:
     """Asymptotic covariance matrix of (size, KPL) scaled by n:
-    n [[F[g1], F[g2]], [F[g2], F[g3]]], p = 1/2 only (general-p g1/g3 closed
-    forms are out of scope).
+    n [[F[g1], F[g2]], [F[g2], F[g3]]], p = 1/2 only: other p raise
+    ValueError, as general-p g1/g3 closed forms are out of scope.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     if abs(model.p - 0.5) > 1e-15:
-        raise VariantUnavailable(
+        raise ValueError(
             "asymptotic covariance matrix needs g1/g3 coefficients, "
             "implemented only for p = 1/2")
     c1, c2, c3 = (sym_coeffs(f, k_max) for f in ("g1", "g2", "g3"))

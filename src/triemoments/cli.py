@@ -1,14 +1,18 @@
 """Command-line front end.
 
-Commands: exact, asym, simulate, whiten, hist, compare.  Every output file
-embeds the full effective configuration (defaults included), contains no
-timestamps, and is therefore byte-identical across runs with the same
-config.  Outputs are staged to a temp file and atomically renamed; nothing
-partial is ever left at the target path.
+Commands: exact, asym, simulate, whiten, hist, compare.  This module alone
+writes output: each command builds its effective configuration (defaults
+included) and a result document of plain data, and ``_render`` writes
+both, as JSON {"config": ..., **document} or as CSV, a ``# config:`` line
+and the command's rows.  Outputs contain no timestamps, so they are
+byte-identical across runs with the same config.  They are staged to a
+temp file and atomically renamed; nothing partial is ever left at the
+target path.
 
 Exit codes: 0 success, 2 usage/validation, 3 numeric failure
 (series not converged/positive-definiteness/guards/floating-point
-overflow) or a Monte-Carlo batch above the work budget, 4 I/O failure.
+overflow), a Monte-Carlo batch above the work budget or out of memory,
+4 I/O failure.
 """
 
 from __future__ import annotations
@@ -49,22 +53,31 @@ def _emit(text: str, out: str | None):
         raise
 
 
-def _flat_kv_csv(doc: dict, cfg: dict) -> str:
-    lines = [_cfg_line(cfg), "key,value"]
+def _flat_kv(doc: dict) -> list[str]:
+    """CSV rows key,value of a nested document of Python numbers, keys
+    joined by "." and list items numbered [i]."""
+    lines = ["key,value"]
 
     def walk(prefix, v):
         if isinstance(v, dict):
             for k in v:
                 walk(f"{prefix}.{k}" if prefix else str(k), v[k])
-        elif isinstance(v, (list, tuple)):
+        elif isinstance(v, list):
             for i, item in enumerate(v):
                 walk(f"{prefix}[{i}]", item)
         else:
-            lines.append(f"{prefix},{v!r}" if isinstance(v, float)
-                         else f"{prefix},{v}")
+            lines.append(f"{prefix},{v}")
 
     walk("", doc)
-    return "\n".join(lines) + "\n"
+    return lines
+
+
+def _render(cfg: dict, doc: dict, fmt: str, csv_body=_flat_kv) -> str:
+    """The output file: JSON {"config": cfg, **doc}, or CSV, the
+    ``# config:`` line and then the rows csv_body(doc)."""
+    if fmt == "json":
+        return json.dumps({"config": cfg, **doc}) + "\n"
+    return "\n".join([_cfg_line(cfg)] + csv_body(doc)) + "\n"
 
 
 def _parse_ratio(args) -> asym.RatioSpec | str | None:
@@ -88,11 +101,20 @@ def _cmd_exact(args) -> str:
     if not (2 <= args.nmax <= _MAX_NMAX):
         raise ValueError(f"nmax must be in [2, {_MAX_NMAX}]")
     table = exact.compute(args.p, args.nmax, args.precision)
-    cfg = {"command": "exact", "p": args.p, "n_max": args.nmax,
-           "precision": args.precision, "format": args.format}
-    if args.format == "csv":
-        return table.to_csv(extra_config=cfg)
-    return table.to_json(extra_config=cfg) + "\n"
+    cfg = {"p": args.p, "n_max": args.nmax, "precision": args.precision,
+           "command": "exact", "format": args.format}
+    cols = dict(zip(table.COLUMNS, table.columns()))
+    return _render(cfg, {"columns": cols}, args.format, lambda doc: (
+        [",".join(cols)]
+        + [",".join(map(repr, row)) for row in zip(*cols.values())]))
+
+
+def _coefficient_rows(doc: dict) -> list[str]:
+    rows = ["family,k,re,im"]
+    for fam in doc["families"]:
+        for c in fam["coefficients"]:
+            rows.append(f"{fam['family']},{c['k']},{c['re']!r},{c['im']!r}")
+    return rows
 
 
 def _cmd_asym(args) -> str:
@@ -108,74 +130,65 @@ def _cmd_asym(args) -> str:
         if not symmetric:
             raise ValueError("--emit-F requires p = 0.5")
         x, f = asym.F_profile(points=args.points, k_max=args.kmax)
-        lines = [_cfg_line(cfg), "log2n,F"]
-        lines += [f"{float(xi)!r},{float(fi)!r}" for xi, fi in zip(x, f)]
-        return "\n".join(lines) + "\n"
+        # the profile is CSV whatever --format says
+        return _render(cfg, {"log2n": x.tolist(), "F": f.tolist()}, "csv",
+                       lambda doc: ["log2n,F"] + [
+                           f"{xi!r},{fi!r}" for xi, fi in zip(doc["log2n"], doc["F"])])
 
-    families = []
-    doc = {"config": cfg, "h": model.h, "lambda": model.lam,
-           "lambda_alt": model.lam_alt}
+    doc = {"h": model.h, "lambda": model.lam, "lambda_alt": model.lam_alt}
     if symmetric:
         tabs = [asym.sym_coeffs(f, args.kmax) for f in ("g1", "g2", "g3")]
-        families = [t.to_json_dict() for t in tabs]
-        g10 = tabs[0].value(0).real
-        g20 = tabs[1].value(0).real
-        g30 = tabs[2].value(0).real
+        g10, g20, g30 = (t.value(0).real for t in tabs)
         doc["F_average"] = g20 / math.sqrt(g10 * g30)
     else:
-        cov = asym.cov_coeffs(model, args.kmax)
-        families = [cov.to_json_dict()]
-        doc["g1"] = "unavailable (general p)"
-        doc["g3"] = "unavailable (general p)"
-    doc["families"] = families
-    if args.format == "csv":
-        rows = [_cfg_line(cfg), "family,k,re,im"]
-        for fam in families:
-            for c in fam["coefficients"]:
-                rows.append(f"{fam['family']},{c['k']},{c['re']!r},{c['im']!r}")
-        return "\n".join(rows) + "\n"
-    return json.dumps(doc) + "\n"
+        tabs = [asym.cov_coeffs(model, args.kmax)]
+        doc["g1"] = doc["g3"] = "unavailable (general p)"
+    doc["families"] = [t.doc() for t in tabs]
+    return _render(cfg, doc, args.format, _coefficient_rows)
 
 
 def _cmd_simulate(args) -> str:
-    cfg = {"command": "simulate", "p": args.p, "n": args.n,
-           "trials": args.trials, "seed": args.seed, "format": args.format}
+    cfg = {"n": args.n, "p": args.p, "trials": args.trials, "seed": args.seed,
+           "command": "simulate", "format": args.format}
     raw = io.StringIO() if args.dump_raw else None
     if raw is not None:
         raw.write("trial,S,K,N\n")
     summary = mc.run(args.n, args.p, args.trials, args.seed, raw_dump=raw)
     if raw is not None:
         _emit(raw.getvalue(), args.dump_raw)
-    if args.format == "csv":
-        return _flat_kv_csv(json.loads(summary.to_json()), cfg)
-    return summary.to_json(extra_config=cfg) + "\n"
+    return _render(cfg, summary.doc(), args.format)
 
 
 def _cmd_whiten(args) -> str:
-    cfg = {"command": "whiten", "p": args.p, "n": args.n,
-           "trials": args.trials, "seed": args.seed, "source": args.source,
-           "format": args.format}
+    cfg = {"n": args.n, "p": args.p, "trials": args.trials, "seed": args.seed,
+           "source": args.source, "command": "whiten", "format": args.format}
     report = mc.whiten(args.n, args.p, args.trials, args.seed,
                        source=args.source)
-    if args.format == "csv":
-        return _flat_kv_csv(json.loads(report.to_json()), cfg)
-    return report.to_json(extra_config=cfg) + "\n"
+    return _render(cfg, report.doc(), args.format)
+
+
+def _histogram_rows(doc: dict) -> list[str]:
+    return ([f"rho,{doc['rho']!r}",
+             "s_edges," + ",".join(map(repr, doc["s_edges"])),
+             "k_edges," + ",".join(map(repr, doc["k_edges"])),
+             "counts"]
+            + [",".join(map(str, row)) for row in doc["counts"]])
 
 
 def _cmd_hist(args) -> str:
-    cfg = {"command": "hist", "p": args.p, "n": args.n, "trials": args.trials,
-           "seed": args.seed, "bins": args.bins, "format": args.format}
+    cfg = {"n": args.n, "p": args.p, "trials": args.trials, "seed": args.seed,
+           "bins": args.bins, "command": "hist", "format": args.format}
     h = mc.joint_histogram(args.n, args.p, args.trials, args.seed,
                            bins=args.bins)
-    if args.format == "csv":
-        lines = [_cfg_line(cfg), f"rho,{h.rho!r}"]
-        lines.append("s_edges," + ",".join(repr(float(v)) for v in h.s_edges))
-        lines.append("k_edges," + ",".join(repr(float(v)) for v in h.k_edges))
-        lines.append("counts")
-        for row in h.counts:
-            lines.append(",".join(str(int(v)) for v in row))
-        return "\n".join(lines) + "\n"
-    return h.to_json(extra_config=cfg) + "\n"
+    return _render(cfg, h.doc(), args.format, _histogram_rows)
+
+
+def _comparison_rows(doc: dict) -> list[str]:
+    lines = [",".join(doc["columns"])]
+    for row in doc["rows"]:
+        lines.append(",".join([str(row[0])] + [repr(float(v)) for v in row[1:]]))
+    summary = doc["summary"]
+    return lines + [f"# {k}={summary[k]!r}" for k in sorted(summary)]
 
 
 def _cmd_compare(args) -> str:
@@ -227,15 +240,8 @@ def _cmd_compare(args) -> str:
         summary = {"lambda": model.lam, "varK_slope": slope,
                    "slope_rel_err": abs(slope - model.lam) / model.lam}
 
-    if args.format == "csv":
-        lines = [_cfg_line(cfg), header]
-        for row in rows:
-            lines.append(",".join([str(row[0])] + [repr(float(v)) for v in row[1:]]))
-        for k in sorted(summary):
-            lines.append(f"# {k}={summary[k]!r}")
-        return "\n".join(lines) + "\n"
-    return json.dumps({"config": cfg, "columns": header.split(","),
-                       "rows": rows, "summary": summary}) + "\n"
+    doc = {"columns": header.split(","), "rows": rows, "summary": summary}
+    return _render(cfg, doc, args.format, _comparison_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +359,6 @@ def main(argv=None) -> int:
     try:
         argv = _apply_config_file(argv)
         args = _build_parser().parse_args(argv)
-        if not (0.0 < args.p < 1.0):
-            raise ValueError("p must be in (0,1)")
         text = args.fn(args)
         _emit(text, args.out)
         return 0
@@ -365,6 +369,9 @@ def main(argv=None) -> int:
         return 2
     except WorkBudgetExceeded as e:
         print(f"work budget exceeded: {e}", file=sys.stderr)
+        return 3
+    except MemoryError as e:
+        print(f"out of memory: {e}", file=sys.stderr)
         return 3
     except (TrieMomentsError, ArithmeticError) as e:
         print(f"numeric error: {e}", file=sys.stderr)

@@ -42,9 +42,5 @@ class RatioSpecMismatch(TrieMomentsError):
     """A supplied rational ratio for log p/log q fails the numeric test."""
 
 
-class VariantUnavailable(TrieMomentsError):
-    """Requested asymptotic variant needs coefficients not implemented."""
-
-
 class NotPositiveDefinite(TrieMomentsError):
     """2x2 matrix operation requires positive definiteness."""

@@ -59,6 +59,12 @@ extended   long double, which needs a 64-bit significand (x86-64); with
            in the tests).  compute() raises ValueError where long double
            is narrower.
 
+Results are plain data: ``MomentTable.columns()`` gives the table by
+column, in ``MomentTable.COLUMNS`` order, as Python numbers, and the CLI
+alone adds the configuration and writes it as CSV or JSON.  ``_canonical``
+holds the one check of p shared by the exact, asymptotic and Monte-Carlo
+routes.
+
 The module also houses the Poisson model: Poisson generating functions
 of the finite moment sequences, the Poissonized variances/covariance and
 the two covariance toll functions.
@@ -66,7 +72,6 @@ the two covariance toll functions.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -97,8 +102,15 @@ def _canonical(p: float) -> tuple[float, float]:
     q_eff = max(p, 1-p) and p_eff = 1 - q_eff (exact by Sterbenz).  Inputs p
     and 1-p then run bit-identical arithmetic, so their tables serialize
     byte-identically; asym.params forms its constants from the same pair.
+
+    This is also the one check of p: it must lie in (0, 1), and 1 - p must
+    not round to 1, or the split weights would lose p altogether.
     """
+    if not (0.0 < p < 1.0):
+        raise ValueError("p must be in (0,1)")
     q_eff = max(p, 1.0 - p)
+    if q_eff == 1.0:
+        raise ValueError(f"p={p!r} is too close to 0: 1 - p rounds to 1")
     return 1.0 - q_eff, q_eff
 
 
@@ -226,15 +238,12 @@ class MomentTable:
     def rho_SN(self, n: int) -> float:
         return self._rho(self.cov_SN(n), self.var_S(n), self.var_N(n), n)
 
-    # -- serialisation -----------------------------------------------------
-    _CSV_COLUMNS = ("n", "ES", "EK", "EN", "VarS", "VarK", "VarN",
-                    "CovSK", "CovSN", "RhoSK", "RhoSN")
+    # -- columns -----------------------------------------------------------
+    COLUMNS = ("n", "ES", "EK", "EN", "VarS", "VarK", "VarN",
+               "CovSK", "CovSN", "RhoSK", "RhoSN")
 
-    def config(self) -> dict:
-        return {"p": self.p, "n_max": self.n_max, "precision": self.precision}
-
-    def _columns(self) -> list:
-        """The serialised columns, each a list of Python numbers.
+    def columns(self) -> list:
+        """The table by column, in COLUMNS order, each a list of Python numbers.
 
         The correlations are nan for n < 2; a variance <= 0 at n >= 2
         raises DegenerateVariance, as the rho accessors do.
@@ -245,25 +254,9 @@ class MomentTable:
             raise DegenerateVariance(f"correlation undefined at n={bad[0] + 2}")
         nan = [math.nan] * 2
         return ([list(range(self.n_max + 1))]
-                + [getattr(self, name).tolist() for name in self._CSV_COLUMNS[1:9]]
+                + [getattr(self, name).tolist() for name in self.COLUMNS[1:9]]
                 + [nan + (self.CovSK[2:] / np.sqrt(vs * vk)).tolist(),
                    nan + (self.CovSN[2:] / np.sqrt(vs * vn)).tolist()])
-
-    def to_csv(self, extra_config: dict | None = None) -> str:
-        cfg = dict(self.config())
-        if extra_config:
-            cfg.update(extra_config)
-        cfg_line = "# config: " + " ".join(f"{k}={v}" for k, v in sorted(cfg.items()))
-        lines = [cfg_line, ",".join(self._CSV_COLUMNS)]
-        lines += [",".join(map(repr, row)) for row in zip(*self._columns())]
-        return "\n".join(lines) + "\n"
-
-    def to_json(self, extra_config: dict | None = None) -> str:
-        cfg = dict(self.config())
-        if extra_config:
-            cfg.update(extra_config)
-        cols = dict(zip(self._CSV_COLUMNS, self._columns()))
-        return json.dumps({"config": cfg, "columns": cols}, allow_nan=True)
 
 
 def _compute_centred(p: float, q: float, n_max: int, dtype) -> dict:
@@ -313,8 +306,7 @@ def _compute_centred(p: float, q: float, n_max: int, dtype) -> dict:
 
 def compute(p: float, n_max: int, precision: str = "standard") -> MomentTable:
     """Solve the moment recurrences exactly for all n <= n_max at fixed p."""
-    if not (0.0 < p < 1.0):
-        raise ValueError("p must be in (0,1)")
+    p_eff, q_eff = _canonical(p)
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     if precision not in ("standard", "extended"):
@@ -327,9 +319,6 @@ def compute(p: float, n_max: int, precision: str = "standard") -> MomentTable:
             raise ValueError(
                 "precision 'extended' needs a long double with a 64-bit "
                 f"significand; this platform's has {bits} bits")
-    p_eff, q_eff = _canonical(p)
-    if p_eff == 0.0:
-        raise ValueError(f"p={p!r} is too close to 0: 1 - p rounds to 1")
     t = _compute_centred(p_eff, q_eff, n_max, dtype)
     for name, (raw, a, b) in _CENTRED.items():
         t[raw] = t[name] + t[a] * t[b]

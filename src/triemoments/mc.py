@@ -7,21 +7,22 @@ call from its own counter-derived stream ``trie.trial_rng(seed, b)``.  The
 batch is the stream unit: a sample matrix of k*G trials is a prefix of any
 longer one with the same seed, and a last, shorter batch is drawn with
 fewer tries from its stream.  Before drawing, ``sample_matrix`` refuses
-with WorkBudgetExceeded a run whose batches would hold a trie of more than
-``_MAX_KEYS`` keys or run for more than ``_MAX_LEVELS`` levels.
+n < 2 with ValueError, and with WorkBudgetExceeded a run whose batches
+would hold a trie of more than ``_MAX_KEYS`` keys or run for more than
+``_MAX_LEVELS`` levels.
 
 Every command reduces the full sample matrix (trials x 3 int64, 24 B per
 trial) once, through one centring helper: ``run`` for the mean, covariance,
 skewness and excess kurtosis, ``whiten`` and ``joint_histogram`` for their
 centring and standardisation, ``marginal_diagnostics`` for the whitened
-marginals.
+marginals.  Each result's ``doc()`` gives its payload as Python numbers;
+the CLI alone adds the configuration and writes it as JSON or CSV.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,8 +55,6 @@ def _batch_height(n: int, p: float, g: int) -> float:
     """Expected height of a batch of g tries of n keys: the g n(n-1)/2 key
     pairs each share k more bits with probability (p^2 + q^2)^k, so the
     longest shared prefix is about log(g n(n-1)/2) / -log(p^2 + q^2)."""
-    if n < 2:
-        return 0.0
     return math.log(g * n * (n - 1) / 2) / -math.log1p(-2.0 * p * (1.0 - p))
 
 
@@ -65,6 +64,8 @@ def sample_matrix(n: int, p: float, trials: int, seed: int) -> np.ndarray:
     Raises WorkBudgetExceeded before drawing when n is above _MAX_KEYS or
     the expected height of a batch (``_batch_height``) is above _MAX_LEVELS.
     """
+    if n < 2:
+        raise ValueError("n must be >= 2")
     if trials < 2:
         raise ValueError("trials must be >= 2")
     _check_p(p)
@@ -115,10 +116,6 @@ def _centre(x: np.ndarray):
 
 @dataclass(frozen=True)
 class SampleSummary:
-    n: int
-    p: float
-    trials: int
-    seed: int
     mean: np.ndarray          # (S, K, N)
     cov: np.ndarray           # (3,3) unbiased
     skewness: np.ndarray      # standardized, per coordinate
@@ -129,32 +126,24 @@ class SampleSummary:
 
     def rho(self, a: str, b: str) -> float:
         i, j = self._IDX[a], self._IDX[b]
-        return self.cov[i, j] / math.sqrt(self.cov[i, i] * self.cov[j, j])
+        return float(self.cov[i, j] / math.sqrt(self.cov[i, i] * self.cov[j, j]))
 
-    def config(self) -> dict:
-        return {"n": self.n, "p": self.p, "trials": self.trials, "seed": self.seed}
-
-    def to_json(self, extra_config: dict | None = None) -> str:
-        cfg = dict(self.config())
-        if extra_config:
-            cfg.update(extra_config)
-        return json.dumps({
-            "config": cfg,
-            "mean": {"S": self.mean[0], "K": self.mean[1], "N": self.mean[2]},
-            "cov": [[self.cov[i, j] for j in range(3)] for i in range(3)],
+    def doc(self) -> dict:
+        """The summary as Python numbers, for the result document."""
+        return {
+            "mean": dict(zip("SKN", self.mean.tolist())),
+            "cov": self.cov.tolist(),
             "rho": {"SK": self.rho("S", "K"), "SN": self.rho("S", "N"),
                     "KN": self.rho("K", "N")},
-            "skewness": list(self.skewness),
-            "ex_kurtosis": list(self.ex_kurtosis),
-            "stderr_mean": list(self.stderr_mean),
-        })
+            "skewness": self.skewness.tolist(),
+            "ex_kurtosis": self.ex_kurtosis.tolist(),
+            "stderr_mean": self.stderr_mean.tolist(),
+        }
 
 
 def run(n: int, p: float, trials: int, seed: int = 0,
         raw_dump=None) -> SampleSummary:
     """Estimate joint moments of (S, K, N) from ``trials`` independent tries."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
     if trials < 100:
         raise ValueError("trials must be >= 100")
     x = sample_matrix(n, p, trials, seed)
@@ -164,8 +153,7 @@ def run(n: int, p: float, trials: int, seed: int = 0,
     mean, _, m2, skew, kurt = _centre(x)
     cov = m2 / (trials - 1)
     return SampleSummary(
-        n=n, p=p, trials=trials, seed=seed, mean=mean, cov=cov,
-        skewness=skew, ex_kurtosis=kurt,
+        mean=mean, cov=cov, skewness=skew, ex_kurtosis=kurt,
         stderr_mean=np.sqrt(np.diag(cov) / trials))
 
 
@@ -200,11 +188,6 @@ def marginal_diagnostics(values: np.ndarray):
 
 @dataclass(frozen=True)
 class WhitenReport:
-    n: int
-    p: float
-    trials: int
-    seed: int
-    source: str                 # exact | sample | asymptotic
     sigma: SymMatrix2           # the covariance matrix that was inverted
     center: tuple               # (E S, E K) used for centering
     whitened_cov: np.ndarray    # (2,2)
@@ -213,21 +196,18 @@ class WhitenReport:
     ex_kurtosis: tuple
     edf_distance: tuple
 
-    def to_json(self, extra_config: dict | None = None) -> str:
-        cfg = {"n": self.n, "p": self.p, "trials": self.trials,
-               "seed": self.seed, "source": self.source}
-        if extra_config:
-            cfg.update(extra_config)
-        return json.dumps({
-            "config": cfg,
-            "sigma": [[self.sigma.a, self.sigma.b], [self.sigma.b, self.sigma.c]],
-            "center": list(self.center),
-            "whitened_cov": [[float(v) for v in row] for row in self.whitened_cov],
+    def doc(self) -> dict:
+        """The report as Python numbers, for the result document."""
+        a, b, c = (float(v) for v in (self.sigma.a, self.sigma.b, self.sigma.c))
+        return {
+            "sigma": [[a, b], [b, c]],
+            "center": list(map(float, self.center)),
+            "whitened_cov": self.whitened_cov.tolist(),
             "max_offdiag": self.max_offdiag,
             "skewness": list(self.skewness),
             "ex_kurtosis": list(self.ex_kurtosis),
             "edf_distance": list(self.edf_distance),
-        })
+        }
 
 
 def whiten(n: int, p: float, trials: int, seed: int = 0, source: str = "exact",
@@ -264,9 +244,9 @@ def whiten(n: int, p: float, trials: int, seed: int = 0, source: str = "exact",
     wcov = (y.T @ y) / (trials - 1)
     skew, kurt, edf = zip(*(marginal_diagnostics(col) for col in y.T))
     return WhitenReport(
-        n=n, p=p, trials=trials, seed=seed, source=source, sigma=sigma,
-        center=center, whitened_cov=wcov, max_offdiag=float(abs(wcov[0, 1])),
-        skewness=skew, ex_kurtosis=kurt, edf_distance=edf)
+        sigma=sigma, center=center, whitened_cov=wcov,
+        max_offdiag=float(abs(wcov[0, 1])), skewness=skew, ex_kurtosis=kurt,
+        edf_distance=edf)
 
 
 # ---------------------------------------------------------------------------
@@ -275,28 +255,19 @@ def whiten(n: int, p: float, trials: int, seed: int = 0, source: str = "exact",
 
 @dataclass(frozen=True)
 class JointHistogram:
-    n: int
-    p: float
-    trials: int
-    seed: int
-    bins: int
     counts: np.ndarray      # (bins, bins), row-major over standardized (S, K)
     s_edges: np.ndarray
     k_edges: np.ndarray
-    rho: float = field(default=float("nan"))
+    rho: float
 
-    def to_json(self, extra_config: dict | None = None) -> str:
-        cfg = {"n": self.n, "p": self.p, "trials": self.trials,
-               "seed": self.seed, "bins": self.bins}
-        if extra_config:
-            cfg.update(extra_config)
-        return json.dumps({
-            "config": cfg,
+    def doc(self) -> dict:
+        """The histogram as Python numbers, for the result document."""
+        return {
             "rho": self.rho,
-            "s_edges": list(map(float, self.s_edges)),
-            "k_edges": list(map(float, self.k_edges)),
-            "counts": [[int(v) for v in row] for row in self.counts],
-        })
+            "s_edges": self.s_edges.tolist(),
+            "k_edges": self.k_edges.tolist(),
+            "counts": self.counts.tolist(),
+        }
 
 
 def joint_histogram(n: int, p: float, trials: int, seed: int = 0,
@@ -311,6 +282,5 @@ def joint_histogram(n: int, p: float, trials: int, seed: int = 0,
     z = y / sd[:, None]
     counts, s_edges, k_edges = np.histogram2d(z[0], z[1], bins=bins)
     rho = float(m2[0, 1] / math.sqrt(m2[0, 0] * m2[1, 1]))
-    return JointHistogram(n=n, p=p, trials=trials, seed=seed, bins=bins,
-                          counts=counts.astype(np.int64),
+    return JointHistogram(counts=counts.astype(np.int64),
                           s_edges=s_edges, k_edges=k_edges, rho=rho)

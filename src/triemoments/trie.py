@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DepthGuardExceeded, KeyExhausted
-from .exact import _binom_weights
+from .exact import _binom_weights, _canonical
 
 # Subtrees of at most _SMALL keys split by a Walker alias lookup, larger ones
 # by rng.binomial.  Row m of the flat alias tables holds columns 0..m and
@@ -153,10 +153,7 @@ def shape_stats(trie: Trie) -> ShapeStats:
 
 
 def _check_p(p: float):
-    if not (0.0 < p < 1.0):
-        raise ValueError("p must be in (0,1)")
-    if 1.0 - p == 1.0:
-        raise ValueError(f"p={p!r} is too close to 0: 1 - p rounds to 1")
+    _canonical(p)
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:

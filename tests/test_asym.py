@@ -7,7 +7,7 @@ from mpmath import mp, mpf
 from conftest import assert_close
 from triemoments import (IRRATIONAL, NotPositiveDefinite, RatioSpec,
                          RatioSpecMismatch, SymMatrix2,
-                         TruncationNotConverged, VariantUnavailable, F_of_n,
+                         TruncationNotConverged, F_of_n,
                          F_profile, cov_coeffs, detect_ratio, fluct_eval,
                          g1_sym, g2_general, g2_sym, g3_sym, invsqrt2, params,
                          sigma_matrix, sqrt2, sym_coeffs)
@@ -220,10 +220,13 @@ class TestFluctuation:
             assert abs(c.value(k)) < abs(c.value(0))
 
     def test_coeff_json(self):
-        doc = sym_coeffs("g1", k_max=2).to_json_dict()
+        c = sym_coeffs("g1", k_max=2)
+        doc = c.doc()
         assert doc["family"] == "g1"
         assert len(doc["coefficients"]) == 5
         assert doc["coefficients"][2]["k"] == 0
+        assert doc["coefficients"][3] == {"k": 1, "re": c.value(1).real,
+                                          "im": c.value(1).imag}
 
 
 class TestF:
@@ -306,7 +309,7 @@ class TestSigma:
         assert b.c == pytest.approx(2 * a.c, rel=1e-12)
 
     def test_unavailable_off_half(self):
-        with pytest.raises(VariantUnavailable):
+        with pytest.raises(ValueError, match="only for p = 1/2"):
             sigma_matrix(params(0.3), 1000)
 
     def test_validation(self):

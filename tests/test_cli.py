@@ -225,11 +225,13 @@ class TestWhitenCmd:
         assert code == 3
         assert "numeric error" in err
 
-    def test_asymptotic_off_half_exit_3(self, capsys):
-        code, _, _ = run_cli(["whiten", "--p", "0.3", "--n", "64",
-                              "--trials", "300", "--seed", "1",
-                              "--source", "asymptotic"], capsys)
-        assert code == 3
+    def test_asymptotic_off_half_exit_2(self, capsys):
+        # a request the asymptotic route does not cover, not a numeric failure
+        code, _, err = run_cli(["whiten", "--p", "0.3", "--n", "64",
+                                "--trials", "300", "--seed", "1",
+                                "--source", "asymptotic"], capsys)
+        assert code == 2
+        assert "only for p = 1/2" in err
 
 
 class TestHistCmd:
@@ -315,6 +317,17 @@ BAD_INPUT = [  # (arguments, exit code)
     # p, and 1.4e10 nodes at n = 1e8
     (["simulate", "--p", "1e-6", "--n", "100", "--trials", "100"], 3),
     (["simulate", "--p", "0.5", "--n", "100000000", "--trials", "100"], 3),
+    # the (trials, 3) sample matrix would take 21.3 PiB
+    (["simulate", "--p", "0.5", "--n", "16", "--trials", "1000000000000000"], 3),
+    # one n >= 2 check for every Monte-Carlo command
+    (["whiten", "--p", "0.5", "--n", "1", "--trials", "300", "--source",
+      "sample"], 2),
+    (["whiten", "--p", "0.5", "--n", "0", "--trials", "300"], 2),
+    (["hist", "--p", "0.5", "--n", "1", "--trials", "300"], 2),
+    (["hist", "--p", "0.5", "--n", "-5", "--trials", "300"], 2),
+    # the asymptotic covariance matrix exists only at p = 1/2
+    (["whiten", "--p", "0.3", "--n", "64", "--trials", "300", "--source",
+      "asymptotic"], 2),
 ]
 
 
@@ -330,5 +343,41 @@ def test_bad_input_fails_fast(args, code):
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert elapsed < 10.0
-    if args[0] == "simulate" and code == 3:     # the work-budget rows
+    if "1000000000000000" in args:
+        assert proc.stderr.startswith("out of memory: "), proc.stderr
+    elif args[0] == "simulate" and code == 3:   # the work-budget rows
         assert proc.stderr.startswith("work budget exceeded: "), proc.stderr
+    if args[0] in ("whiten", "hist") and args[4] in ("1", "0", "-5"):
+        assert "n must be >= 2" in proc.stderr, proc.stderr
+
+
+CONFIG_CASES = [
+    ["exact", "--p", "0.3", "--nmax", "16"],
+    ["exact", "--p", "0.02", "--nmax", "16", "--precision", "extended"],
+    ["asym", "--p", "0.5", "--kmax", "2"],
+    ["asym", "--p", "0.3", "--kmax", "2"],
+    ["simulate", "--p", "0.5", "--n", "16", "--trials", "200", "--seed", "1"],
+    ["whiten", "--p", "0.3", "--n", "64", "--trials", "200", "--seed", "1"],
+    ["whiten", "--p", "0.3", "--n", "64", "--trials", "200", "--source",
+     "sample"],
+    ["hist", "--p", "0.5", "--n", "64", "--trials", "200", "--bins", "10"],
+    ["compare", "--p", "0.5", "--n-grid", "16,32", "--trials", "100"],
+    ["compare", "--p", "0.3", "--n-grid", "16,32"],
+]
+
+
+@pytest.mark.parametrize("args", CONFIG_CASES, ids=" ".join)
+def test_json_and_csv_carry_one_config(args, capsys):
+    # the JSON "config" object and the CSV "# config:" line are the same
+    # configuration, and it appears nowhere else in the file
+    code, out, _ = run_cli(args + ["--format", "json"], capsys)
+    assert code == 0
+    cfg = json.loads(out)["config"]
+    code, out, _ = run_cli(args + ["--format", "csv"], capsys)
+    assert code == 0
+    first, *body = out.splitlines()
+    assert first.startswith("# config: ")
+    pairs = dict(kv.split("=", 1) for kv in first[len("# config: "):].split(" "))
+    assert pairs == {k: str(v) for k, v in {**cfg, "format": "csv"}.items()}
+    assert cfg["command"] == args[0] and cfg["p"] == float(args[2])
+    assert not [ln for ln in body if ln.startswith(("config", "# config"))]

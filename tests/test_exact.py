@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import json
 import math
 
 import numpy as np
@@ -8,8 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from conftest import assert_close, table, two_key_oracle
-from triemoments import DegenerateVariance, compute
+from triemoments import DegenerateVariance, MomentTable, compute
 from triemoments.asym import IRRATIONAL, g2_general, params
+from triemoments.cli import main
 from triemoments.exact import _TAIL_BITS, _binom_weights, _windows
 
 
@@ -194,13 +196,16 @@ def test_precondition_validation():
                 compute(p, 8, precision)
 
 
-def test_csv_round_trip_values():
-    t = compute(0.5, 8)
-    text = t.to_csv()
-    lines = text.strip().split("\n")
+def _cli(args, capsys):
+    assert main(args) == 0
+    return capsys.readouterr().out
+
+
+def test_csv_round_trip_values(capsys):
+    lines = _cli(["exact", "--p", "0.5", "--nmax", "8"], capsys).strip().split("\n")
     assert lines[0].startswith("# config:")
     header = lines[1].split(",")
-    assert header[:4] == ["n", "ES", "EK", "EN"]
+    assert header == list(MomentTable.COLUMNS)
     row2 = lines[2 + 2].split(",")  # n = 2
     assert row2[0] == "2"
     assert float(row2[1]) == 2.0
@@ -211,20 +216,19 @@ def test_csv_round_trip_values():
     assert "nan" in lines[2]
 
 
-def test_json_export():
-    import json
-    t = compute(0.3, 8)
-    doc = json.loads(t.to_json(extra_config={"tool": "test"}))
+def test_json_export(capsys):
+    doc = json.loads(_cli(["exact", "--p", "0.3", "--nmax", "8",
+                           "--format", "json"], capsys))
     assert doc["config"]["p"] == 0.3
-    assert doc["config"]["tool"] == "test"
+    assert list(doc["columns"]) == list(MomentTable.COLUMNS)
     assert len(doc["columns"]["ES"]) == 9
     assert doc["columns"]["ES"][2] == pytest.approx(1 / (2 * 0.3 * 0.7))
 
 
 @pytest.mark.parametrize("p,n_max", [(0.5, 8), (0.3, 300)])
-def test_serialisation_matches_accessors(p, n_max):
-    # the column-wise writers against a row-by-row reference built from
-    # the accessors
+def test_serialisation_matches_accessors(p, n_max, capsys):
+    # the column-wise table, and the CLI files written from it, against a
+    # row-by-row reference built from the accessors
     t = compute(p, n_max)
     rows = []
     for n in range(n_max + 1):
@@ -234,13 +238,16 @@ def test_serialisation_matches_accessors(p, n_max):
         rows.append([n, t.mean_S(n), t.mean_K(n), t.mean_N(n), t.var_S(n),
                      t.var_K(n), t.var_N(n), t.cov_SK(n), t.cov_SN(n),
                      rho_sk, rho_sn])
-    lines = t.to_csv().splitlines()[2:]
+    cols = t.columns()
+    assert [type(v) for v in (cols[0][0], cols[1][0])] == [int, float]
+    assert repr([list(r) for r in zip(*cols)]) == repr(rows)
+    args = ["exact", "--p", str(p), "--nmax", str(n_max)]
+    lines = _cli(args, capsys).splitlines()[2:]
     assert lines == [",".join([str(r[0])] + [repr(x) for x in r[1:]])
                      for r in rows]
-    import json
-    cols = json.loads(t.to_json())["columns"]
-    assert cols["n"] == list(range(n_max + 1))
-    assert repr(cols["RhoSN"]) == repr([r[10] for r in rows])
+    doc = json.loads(_cli(args + ["--format", "json"], capsys))["columns"]
+    assert doc["n"] == list(range(n_max + 1))
+    assert repr(doc["RhoSN"]) == repr([r[10] for r in rows])
 
 
 @pytest.mark.parametrize("name", ["VarS", "VarK", "VarN"])
@@ -249,9 +256,8 @@ def test_serialisation_refuses_degenerate_variance(name):
     bad = getattr(t, name).copy()
     bad[7] = 0.0
     t = dataclasses.replace(t, **{name: bad})
-    for write in (t.to_csv, t.to_json):
-        with pytest.raises(DegenerateVariance, match="n=7"):
-            write()
+    with pytest.raises(DegenerateVariance, match="n=7"):
+        t.columns()
 
 
 def test_depth_accessor_is_mean_K_over_n():

@@ -15,6 +15,19 @@ from triemoments.mc import (_MAX_KEYS, _MAX_LEVELS, _batch_height,
 from triemoments.trie import sample_shapes, trial_rng
 
 
+def assert_plain(doc):
+    """Every leaf of a result document is a Python int, float or str: the
+    CLI writes floats by repr, and repr(np.float64(x)) is not repr(x)."""
+    if isinstance(doc, dict):
+        for v in doc.values():
+            assert_plain(v)
+    elif isinstance(doc, list):
+        for v in doc:
+            assert_plain(v)
+    else:
+        assert type(doc) in (int, float, str), (type(doc), doc)
+
+
 def _exact_moments(x):
     """Mean, covariance (divisor m - 1), skewness and excess kurtosis of the
     columns of an integer sample, from exact integer power sums."""
@@ -109,11 +122,13 @@ class TestRun:
         assert first[0] == "0" and len(first) == 4
 
     def test_json(self):
-        doc = run(16, 0.5, 200, seed=1).to_json(extra_config={"x": 1})
-        import json
-        d = json.loads(doc)
-        assert d["config"]["x"] == 1
+        s = run(16, 0.5, 200, seed=1)
+        d = s.doc()
+        assert "config" not in d
         assert "rho" in d and "SK" in d["rho"]
+        assert d["rho"]["SK"] == s.rho("S", "K")
+        assert d["cov"] == s.cov.tolist()
+        assert_plain(d)
 
 
 class TestDiagnostics:
@@ -171,6 +186,14 @@ class TestWhiten:
         with pytest.raises(ValueError):
             whiten(64, 0.5, 500, seed=1, source="magic")
 
+    def test_doc(self):
+        r = whiten(64, 0.3, 300, seed=1, source="sample")
+        d = r.doc()
+        assert d["sigma"] == [[r.sigma.a, r.sigma.b], [r.sigma.b, r.sigma.c]]
+        assert d["whitened_cov"] == r.whitened_cov.tolist()
+        assert d["max_offdiag"] == r.max_offdiag
+        assert_plain(d)
+
 
 class TestHistogram:
     def test_counts_sum(self):
@@ -196,6 +219,14 @@ class TestHistogram:
     def test_bins_floor(self):
         with pytest.raises(ValueError):
             joint_histogram(64, 0.5, 500, seed=1, bins=4)
+
+    def test_doc(self):
+        h = joint_histogram(64, 0.5, 300, seed=1, bins=10)
+        d = h.doc()
+        assert d["counts"] == h.counts.tolist()
+        assert d["s_edges"] == h.s_edges.tolist()
+        assert d["rho"] == h.rho
+        assert_plain(d)
 
 
 def test_sample_matrix_chunk_invariance():
@@ -245,6 +276,17 @@ def test_batch_height_estimate_tracks_sampler(n, p):
 def test_sample_matrix_trials_floor():
     with pytest.raises(ValueError, match="trials"):
         sample_matrix(16, 0.5, 1, seed=0)
+
+
+def test_n_floor_is_one_check():
+    # every Monte-Carlo command refuses n < 2 with the same message
+    for n in (-5, 0, 1):
+        for draw in (lambda: sample_matrix(n, 0.5, 100, seed=0),
+                     lambda: run(n, 0.5, 100),
+                     lambda: whiten(n, 0.5, 100, source="sample"),
+                     lambda: joint_histogram(n, 0.5, 100)):
+            with pytest.raises(ValueError, match="n must be >= 2"):
+                draw()
 
 
 def test_standard_error_honesty():
