@@ -23,8 +23,7 @@ from .exact import MomentTable, PoissonModel, PoissonSeries, compute
 from .gammafn import cdigamma, cgamma
 from .mc import (JointHistogram, SampleSummary, WhitenReport, joint_histogram,
                  run, whiten)
-from .trie import (Key, ShapeStats, Trie, build_trie, sample_keys,
-                   sample_shape, sample_shapes, shape_stats, trial_rng)
+from .trie import key_shapes, sample_keys, sample_shapes, trial_rng
 
 __version__ = "0.1.0"
 
@@ -40,7 +39,6 @@ __all__ = [
     "cdigamma", "cgamma",
     "JointHistogram", "SampleSummary", "WhitenReport", "joint_histogram",
     "run", "whiten",
-    "Key", "ShapeStats", "Trie", "build_trie", "sample_keys", "sample_shape",
-    "sample_shapes", "shape_stats", "trial_rng",
+    "key_shapes", "sample_keys", "sample_shapes", "trial_rng",
     "__version__",
 ]

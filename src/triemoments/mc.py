@@ -29,7 +29,7 @@ import numpy as np
 from . import asym, exact
 from .asym import SymMatrix2, invsqrt2
 from .errors import DegenerateVariance, WorkBudgetExceeded
-from .trie import _check_p, sample_shapes, trial_rng
+from .trie import sample_shapes, trial_rng
 
 _BATCH_KEYS = 2 ** 16
 _MAX_BATCH = 1024
@@ -68,7 +68,7 @@ def sample_matrix(n: int, p: float, trials: int, seed: int) -> np.ndarray:
         raise ValueError("n must be >= 2")
     if trials < 2:
         raise ValueError("trials must be >= 2")
-    _check_p(p)
+    exact._canonical(p)
     if n > _MAX_KEYS:
         raise WorkBudgetExceeded(
             f"n={n}: a trie of more than {_MAX_KEYS} keys is above the "
@@ -275,6 +275,8 @@ def joint_histogram(n: int, p: float, trials: int, seed: int = 0,
     """2-D histogram of per-coordinate standardized (S, K)."""
     if bins < 10:
         raise ValueError("bins must be >= 10")
+    if bins > trials:
+        raise ValueError("bins must be <= trials")
     _, y, m2, _, _ = _centre(sample_matrix(n, p, trials, seed)[:, :2])
     sd = np.sqrt(np.diag(m2) / trials)
     if (sd == 0.0).any():

@@ -9,21 +9,21 @@ here are
 * ``npl``    -- internal (node) path length: sum of internal-node depths,
 * ``height`` -- maximal external-node depth.
 
-Two samplers are provided.  ``sample_keys`` + ``build_trie`` materialises
-explicit key prefixes and constructs the trie; ``sample_shapes`` draws the
-same joint law for a batch of independent tries directly, by binomial
-splitting of subtree sizes level by level, in O(size) time per trie and
-without storing keys (``sample_shape`` is a batch of one).  A subtree of at
-most ``_SMALL`` keys draws its split from a Walker alias table with one
-uniform, a larger one from ``rng.binomial``.  Both are
-deterministic given their Generator; Monte-Carlo streams are derived from a
-master seed by counter addressing (see ``trial_rng``), one per batch.
+Two routes give them, both as (count, 4) int64 rows of a batch of tries.
+``sample_shapes`` draws the joint law directly, by binomial splitting of
+subtree sizes level by level, in O(size) time per trie and without storing
+keys.  A subtree of at most ``_SMALL`` keys draws its split from a Walker
+alias table with one uniform, a larger one from ``rng.binomial``.
+``key_shapes`` measures the tries of explicit key prefixes, such as those of
+``sample_keys``, from the common-prefix lengths of their sorted keys; the
+tests check the sampler against it.  Draws are deterministic given their
+Generator; Monte-Carlo streams are derived from a master seed by counter
+addressing (see ``trial_rng``), one per batch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -38,122 +38,12 @@ _SMALL = 64
 _ROW_START = np.cumsum(np.arange(_SMALL + 1))
 
 
-@dataclass(frozen=True)
-class Key:
-    """A finite bit prefix (most-significant first) of an infinite key."""
-
-    bits: str
-
-    def __post_init__(self):
-        if not set(self.bits) <= {"0", "1"}:
-            raise ValueError("key bits must be a string over {'0','1'}")
-
-    def __len__(self):
-        return len(self.bits)
-
-
-class _Internal:
-    __slots__ = ("left", "right")
-
-    def __init__(self, left=None, right=None):
-        self.left = left
-        self.right = right
-
-
-class _External:
-    __slots__ = ("key_index",)
-
-    def __init__(self, key_index: int):
-        self.key_index = key_index
-
-
-@dataclass(frozen=True)
-class Trie:
-    """An immutable trie; ``root`` is None for the empty trie."""
-
-    root: object
-    n: int
-
-
-@dataclass(frozen=True)
-class ShapeStats:
-    n: int
-    size: int
-    kpl: int
-    npl: int
-    height: int
-
-
 def _default_max_depth(n: int, p: float) -> int:
     # Beyond d, some pair of keys shares d bits with prob <= n^2 (p^2+q^2)^d;
     # choose d so that bound is ~e^-40 ("astronomically unlikely").
     q = 1.0 - p
     c = p * p + q * q
     return 64 + int(math.ceil((2.0 * math.log(n + 2.0) + 40.0) / -math.log(c)))
-
-
-def build_trie(keys: list[Key]) -> Trie:
-    """Construct the trie of ``keys`` by the splitting rule.
-
-    Keys must be pairwise distinguishable within their stored bits;
-    otherwise KeyExhausted is raised (supply longer prefixes and retry).
-    """
-    keys = [k if isinstance(k, Key) else Key(k) for k in keys]
-    bitstrs = [k.bits for k in keys]
-    n = len(keys)
-    if n == 0:
-        return Trie(root=None, n=0)
-    if n == 1:
-        return Trie(root=_External(0), n=1)
-
-    def node(indices: list[int], depth: int):
-        if len(indices) == 1:
-            return _External(indices[0])
-        left: list[int] = []
-        right: list[int] = []
-        for i in indices:
-            bits = bitstrs[i]
-            if depth >= len(bits):
-                raise KeyExhausted(
-                    f"key {i} exhausted at depth {depth}; keys are not "
-                    "distinguishable within their stored bits")
-            (left if bits[depth] == "0" else right).append(i)
-        inner = _Internal()
-        if left:
-            inner.left = node(left, depth + 1)
-        if right:
-            inner.right = node(right, depth + 1)
-        return inner
-
-    return Trie(root=node(list(range(n)), 0), n=n)
-
-
-def shape_stats(trie: Trie) -> ShapeStats:
-    """Measure (size, kpl, npl, height) by traversal; depths in edges."""
-    if trie.root is None:
-        return ShapeStats(0, 0, 0, 0, 0)
-    if isinstance(trie.root, _External):
-        return ShapeStats(trie.n, 0, 0, 0, 0)
-    size = kpl = npl = height = 0
-    stack = [(trie.root, 0)]
-    while stack:
-        nd, d = stack.pop()
-        if isinstance(nd, _External):
-            kpl += d
-            if d > height:
-                height = d
-        else:
-            size += 1
-            npl += d
-            if nd.left is not None:
-                stack.append((nd.left, d + 1))
-            if nd.right is not None:
-                stack.append((nd.right, d + 1))
-    return ShapeStats(trie.n, size, kpl, npl, height)
-
-
-def _check_p(p: float):
-    _canonical(p)
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -168,22 +58,57 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
         key=seed & ((1 << 128) - 1), counter=trial << 128))
 
 
-def sample_keys(n: int, p: float, seed: int | None = None, prefix_len: int = 64,
-                rng: np.random.Generator | None = None) -> list[Key]:
-    """Draw n independent Bernoulli(p) bit prefixes, deterministic per seed.
-
-    Collisions beyond ``prefix_len`` surface later as KeyExhausted from
-    build_trie; retry with a larger prefix_len.
-    """
-    _check_p(p)
+def sample_keys(n: int, p: float, rng: np.random.Generator,
+                prefix_len: int = 64) -> np.ndarray:
+    """(n, prefix_len) bool matrix of n independent Bernoulli(p) bit
+    prefixes, most significant bit first, drawn from ``rng``."""
+    _canonical(p)
     if n < 0:
         raise ValueError("n must be >= 0")
-    if rng is None:
-        rng = trial_rng(0 if seed is None else seed, 0)
-    bits = rng.random((n, prefix_len)) < p
-    raw = (bits.astype(np.uint8) + ord("0")).tobytes()
-    return [Key(raw[i * prefix_len:(i + 1) * prefix_len].decode("ascii"))
-            for i in range(n)]
+    return rng.random((n, prefix_len)) < p
+
+
+def key_shapes(bits: np.ndarray) -> np.ndarray:
+    """Shape rows of the tries of explicit keys, one trie per row.
+
+    ``bits`` is a (count, n, L) bool array: trie t holds the n key prefixes
+    bits[t].  Returns a (count, 4) int64 array with columns size, kpl, npl
+    and height, as ``sample_shapes`` does; rows with n <= 1 are zeros.
+    Each trie's keys are sorted by their packed bits, and l_i, the common
+    prefix length of sorted keys i and i+1, is the first column where they
+    differ.  With l_0 = l_n = -1, key i sits at depth max(l_{i-1}, l_i) + 1,
+    and the pair (i, i+1) adds the internal nodes at depths
+    min(l_{i-1}, l_i) + 1 .. l_i, which no earlier pair shares; their
+    number and depth sum give size and npl.  Two keys equal in all L bits
+    never separate and raise KeyExhausted, naming the trie.
+    """
+    bits = np.asarray(bits, dtype=bool)
+    count, n, length = bits.shape
+    out = np.zeros((count, 4), dtype=np.int64)
+    if n <= 1:
+        return out
+    if length:      # packed rows compare bytewise as their bits do
+        packed = np.packbits(bits, axis=2)
+        order = np.argsort(packed.view((np.void, packed.shape[2]))[..., 0],
+                           axis=1)
+        bits = np.take_along_axis(bits, order[..., None], axis=1)
+    differ = bits[:, 1:] != bits[:, :-1]
+    split = differ.any(axis=2)
+    if not split.all():
+        t = int(np.flatnonzero(~split.all(axis=1))[0])
+        raise KeyExhausted(
+            f"trie {t}: two keys are equal in all {length} stored bits; "
+            "supply longer prefixes")
+    lcp = np.full((count, n + 1), -1, dtype=np.int64)
+    lcp[:, 1:-1] = differ.argmax(axis=2)
+    depth = np.maximum(lcp[:, :-1], lcp[:, 1:]) + 1
+    pair = lcp[:, 1:-1]
+    seen = np.minimum(lcp[:, :-2], pair)    # depths an earlier pair counted
+    out[:, 0] = (pair - seen).sum(axis=1)
+    out[:, 1] = depth.sum(axis=1)
+    out[:, 2] = ((pair * (pair + 1) - seen * (seen + 1)) // 2).sum(axis=1)
+    out[:, 3] = depth.max(axis=1)
+    return out
 
 
 @lru_cache(maxsize=16)
@@ -260,7 +185,7 @@ def sample_shapes(n: int, p: float, count: int, rng: np.random.Generator,
     depths at which it has an internal node.  Given the same Generator state
     the result is bitwise reproducible.
     """
-    _check_p(p)
+    _canonical(p)
     if n < 0:
         raise ValueError("n must be >= 0")
     if count < 0:
@@ -308,17 +233,3 @@ def sample_shapes(n: int, p: float, count: int, rng: np.random.Generator,
         d += 1
     kpl[:] = np.diff(keys_cum, prepend=0)
     return out
-
-
-def sample_shape(n: int, p: float, seed: int | None = None,
-                 max_depth: int | None = None,
-                 rng: np.random.Generator | None = None) -> ShapeStats:
-    """One trie's ShapeStats: ``sample_shapes`` with a batch of one.
-
-    Without ``rng`` the draw comes from ``trial_rng(seed, 0)`` (seed 0 when
-    None), so it is reproducible per seed.
-    """
-    if rng is None:
-        rng = trial_rng(0 if seed is None else seed, 0)
-    size, kpl, npl, height = sample_shapes(n, p, 1, rng, max_depth)[0]
-    return ShapeStats(n, int(size), int(kpl), int(npl), int(height))

@@ -10,9 +10,9 @@ import math
 import numpy as np
 
 from conftest import table
-from triemoments import (F_profile, build_trie, cdigamma, cgamma, fluct_eval,
-                         g1_sym, g2_general, g2_sym, g3_sym, invsqrt2, params,
-                         sample_keys, shape_stats, sqrt2, sym_coeffs,
+from triemoments import (F_profile, cdigamma, cgamma, fluct_eval, g1_sym,
+                         g2_general, g2_sym, g3_sym, invsqrt2, key_shapes,
+                         params, sample_keys, sqrt2, sym_coeffs,
                          trial_rng, whiten, SymMatrix2)
 from triemoments.exact import PoissonModel
 from triemoments.gammafn import EULER_GAMMA
@@ -30,9 +30,10 @@ def report(num: int, text: str, ok: bool):
 def test_criterion_01_figure_trie():
     keys = ["00011100", "01010100", "01100111", "10111010",
             "11000011", "11001000", "11001110"]
-    st = shape_stats(build_trie(keys))
-    ok = (st.size, st.kpl, st.npl) == (8, 27, 18)
-    report(1, f"worked-example trie -> (S,K,N)=({st.size},{st.kpl},{st.npl}), "
+    size, kpl, npl, _ = key_shapes(
+        np.array([[[c == "1" for c in k] for k in keys]]))[0]
+    ok = (size, kpl, npl) == (8, 27, 18)
+    report(1, f"worked-example trie -> (S,K,N)=({size},{kpl},{npl}), "
               "want (8,27,18)", ok)
 
 
@@ -145,8 +146,9 @@ def test_criterion_10_poisson_residuals(table_03, table_05):
 
 
 def test_criterion_11_sampler_law_equivalence():
-    # the batched splitting sampler the CLI uses vs explicit-key
-    # construction, p = 0.3, 1e5 trials
+    # the batched splitting sampler the CLI uses vs explicit keys, p = 0.3,
+    # 1e5 trials; trial t draws its keys from its own stream, and key_shapes
+    # measures 1024 tries a call
     p = 0.3
     trials = 100_000
     ok = True
@@ -154,10 +156,11 @@ def test_criterion_11_sampler_law_equivalence():
     for n in (2, 3, 4, 5, 6, 7, 8, 64):
         a = sample_matrix(n, p, trials, seed=1000 + n).astype(np.float64)
         b = np.empty((trials, 3))
-        for t in range(trials):
-            keys = sample_keys(n, p, rng=trial_rng(5000 + n, t))
-            st = shape_stats(build_trie(keys))
-            b[t] = (st.size, st.kpl, st.npl)
+        for start in range(0, trials, 1024):
+            stop = min(start + 1024, trials)
+            bits = np.stack([sample_keys(n, p, trial_rng(5000 + n, t))
+                             for t in range(start, stop)])
+            b[start:stop] = key_shapes(bits)[:, :3]
         worst_z = 0.0
         for j in range(3):
             se = math.sqrt(a[:, j].var() / trials + b[:, j].var() / trials)

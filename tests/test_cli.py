@@ -325,6 +325,9 @@ BAD_INPUT = [  # (arguments, exit code)
     (["whiten", "--p", "0.5", "--n", "0", "--trials", "300"], 2),
     (["hist", "--p", "0.5", "--n", "1", "--trials", "300"], 2),
     (["hist", "--p", "0.5", "--n", "-5", "--trials", "300"], 2),
+    # more bins than trials: refused before the bins^2 counts are allocated
+    (["hist", "--p", "0.5", "--n", "16", "--trials", "200", "--bins",
+      "100000000"], 2),
     # the asymptotic covariance matrix exists only at p = 1/2
     (["whiten", "--p", "0.3", "--n", "64", "--trials", "300", "--source",
       "asymptotic"], 2),
@@ -349,6 +352,8 @@ def test_bad_input_fails_fast(args, code):
         assert proc.stderr.startswith("work budget exceeded: "), proc.stderr
     if args[0] in ("whiten", "hist") and args[4] in ("1", "0", "-5"):
         assert "n must be >= 2" in proc.stderr, proc.stderr
+    if "--bins" in args:
+        assert "bins must be <= trials" in proc.stderr, proc.stderr
 
 
 CONFIG_CASES = [

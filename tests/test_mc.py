@@ -220,6 +220,12 @@ class TestHistogram:
         with pytest.raises(ValueError):
             joint_histogram(64, 0.5, 500, seed=1, bins=4)
 
+    def test_bins_ceiling(self):
+        # more bins than trials is refused before anything is drawn
+        with pytest.raises(ValueError, match="bins must be <= trials"):
+            joint_histogram(64, 0.5, 500, seed=1, bins=501)
+        assert joint_histogram(64, 0.5, 500, seed=1, bins=500).counts.sum() == 500
+
     def test_doc(self):
         h = joint_histogram(64, 0.5, 300, seed=1, bins=10)
         d = h.doc()

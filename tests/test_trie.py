@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import assert_close, two_key_oracle
-from triemoments import (DepthGuardExceeded, Key, KeyExhausted, build_trie,
-                         sample_keys, sample_shape, sample_shapes, shape_stats,
-                         trial_rng)
+from triemoments import (DepthGuardExceeded, KeyExhausted, key_shapes,
+                         sample_keys, sample_shapes, trial_rng)
 from triemoments.exact import compute as exact_compute
 from triemoments.trie import _ROW_START, _SMALL, _alias_split, _alias_tables
 
@@ -33,115 +32,121 @@ def ref_counts(keys, depth=0):
     return (s1 + s2 + 1, k1 + k2, n1 + n2 + depth, max(h1, h2))
 
 
+def shape_of(keys):
+    """key_shapes row of one trie of keys written as bit strings."""
+    bits = np.array([[c == "1" for c in k] for k in keys], dtype=bool)
+    bits = bits.reshape(1, len(keys), len(keys[0]) if keys else 0)
+    return tuple(key_shapes(bits)[0].tolist())
+
+
 class TestBuild:
+    """``key_shapes`` against hand-counted tries and the recursive oracle."""
+
     def test_figure_example(self):
-        st = shape_stats(build_trie(FIG1_KEYS))
-        assert (st.size, st.kpl, st.npl) == (8, 27, 18)
+        assert shape_of(FIG1_KEYS)[:3] == (8, 27, 18)
 
     def test_single_key(self):
-        st = shape_stats(build_trie([Key("0")]))
-        assert st == type(st)(n=1, size=0, kpl=0, npl=0, height=0)
+        assert shape_of(["0"]) == (0, 0, 0, 0)
 
     def test_empty(self):
-        st = shape_stats(build_trie([]))
-        assert (st.n, st.size, st.kpl, st.npl, st.height) == (0, 0, 0, 0, 0)
+        assert shape_of([]) == (0, 0, 0, 0)
 
     def test_three_keys_by_hand(self):
-        # "00...", "01...", "1...": root splits {00,01} vs {1}; the left
+        # "00...", "01...", "10...": root splits {00,01} vs {10}; the left
         # internal node splits the two at depth 2
-        st = shape_stats(build_trie(["00", "01", "1"]))
-        assert (st.size, st.kpl, st.npl) == (2, 5, 1)
+        assert shape_of(["00", "01", "10"]) == (2, 5, 1, 2)
 
     def test_traversal_matches_reference(self):
+        # prefixes shorter and longer than one 64-bit word, and lengths that
+        # are not whole bytes; each row is also the trie measured alone
         rng = np.random.default_rng(3)
-        for _ in range(25):
+        for length in (20, 37, 64, 99, 141):
+            count = int(rng.integers(1, 12))
             n = int(rng.integers(2, 40))
-            keys = sample_keys(n, 0.4, rng=rng)
-            st = shape_stats(build_trie(keys))
-            want = ref_counts([k.bits for k in keys])
-            assert (st.size, st.kpl, st.npl, st.height) == want
+            p = float(rng.uniform(0.3, 0.7))
+            bits = np.stack([sample_keys(n, p, rng, length)
+                             for _ in range(count)])
+            rows = key_shapes(bits)
+            assert rows.shape == (count, 4) and rows.dtype == np.int64
+            for t in range(count):
+                keys = ["".join("1" if b else "0" for b in k)
+                        for k in bits[t]]
+                assert tuple(rows[t]) == ref_counts(keys), (length, t)
+                assert (key_shapes(bits[t:t + 1])[0] == rows[t]).all()
+
+    def test_zero_and_one_key_rows(self):
+        for n in (0, 1):
+            for length in (0, 5, 64):
+                x = key_shapes(np.ones((3, n, length), dtype=bool))
+                assert x.shape == (3, 4) and x.dtype == np.int64
+                assert not x.any()
 
     def test_key_exhausted(self):
-        with pytest.raises(KeyExhausted):
-            build_trie(["0101", "0101"])
-        with pytest.raises(KeyExhausted):
-            build_trie(["01", "010"])  # prefix of another: never separates
+        with pytest.raises(KeyExhausted, match="trie 0"):
+            shape_of(["0101", "0101"])
+        bits = sample_keys(6, 0.5, trial_rng(8, 0), 32).reshape(2, 3, 32)
+        bits[1, 2] = bits[1, 0]
+        with pytest.raises(KeyExhausted, match="trie 1"):
+            key_shapes(bits)
+        with pytest.raises(KeyExhausted, match="trie 0"):
+            key_shapes(np.zeros((2, 2, 0), dtype=bool))
 
     def test_monotone_under_insertion(self):
         keys = ["0011", "0100", "1011", "1100", "1110", "0001"]
         prev = (0, 0, 0)
         for m in range(2, len(keys) + 1):
-            st = shape_stats(build_trie(keys[:m]))
-            cur = (st.size, st.kpl, st.npl)
+            cur = shape_of(keys[:m])[:3]
             assert all(c >= p for c, p in zip(cur, prev))
             prev = cur
-
-    def test_bad_bits_rejected(self):
-        with pytest.raises(ValueError):
-            Key("012")
 
     def test_npl_zero_iff_single_internal(self):
         rng = np.random.default_rng(14)
         for _ in range(40):
             n = int(rng.integers(2, 20))
-            st = shape_stats(build_trie(sample_keys(n, 0.5, rng=rng)))
-            assert (st.npl == 0) == (st.size <= 1)
-            assert st.kpl >= st.n  # every key sits at depth >= 1
-
-    def test_every_key_path_reaches_its_external(self):
-        rng = np.random.default_rng(15)
-        for _ in range(20):
-            n = int(rng.integers(2, 24))
-            keys = sample_keys(n, 0.35, rng=rng)
-            trie = build_trie(keys)
-            seen = set()
-            for i, key in enumerate(keys):
-                node = trie.root
-                depth = 0
-                while type(node).__name__ == "_Internal":
-                    node = node.left if key.bits[depth] == "0" else node.right
-                    depth += 1
-                    assert node is not None
-                assert node.key_index == i
-                seen.add(i)
-            assert len(seen) == n  # one external per key
+            size, kpl, npl, _ = key_shapes(sample_keys(n, 0.5, rng)[None])[0]
+            assert (npl == 0) == (size <= 1)
+            assert kpl >= n  # every key sits at depth >= 1
 
 
 class TestSampleKeys:
     def test_deterministic(self):
-        a = sample_keys(3, 0.3, seed=11)
-        b = sample_keys(3, 0.3, seed=11)
-        assert [k.bits for k in a] == [k.bits for k in b]
+        a = sample_keys(3, 0.3, trial_rng(11, 0))
+        b = sample_keys(3, 0.3, trial_rng(11, 0))
+        assert a.dtype == bool and (a == b).all()
 
     def test_degenerate_p_rejected(self):
         with pytest.raises(ValueError):
-            sample_keys(3, 1.0, seed=0)
+            sample_keys(3, 1.0, trial_rng(0, 0))
         with pytest.raises(ValueError):
-            sample_keys(3, 0.0, seed=0)
+            sample_keys(3, 0.0, trial_rng(0, 0))
 
     def test_prefix_len(self):
-        keys = sample_keys(5, 0.5, seed=1, prefix_len=17)
-        assert all(len(k) == 17 for k in keys)
+        assert sample_keys(5, 0.5, trial_rng(1, 0), prefix_len=17).shape == (5, 17)
+
+
+def shape_row(n, p, seed, max_depth=None):
+    """One trie drawn by ``sample_shapes`` from stream ``trial_rng(seed, 0)``."""
+    return sample_shapes(n, p, 1, trial_rng(seed, 0), max_depth)[0]
 
 
 class TestSampleShape:
     def test_base_cases(self):
         for n in (0, 1):
             for seed in (0, 1, 99):
-                st = sample_shape(n, 0.37, seed=seed)
-                assert (st.size, st.kpl, st.npl, st.height) == (0, 0, 0, 0)
+                assert not shape_row(n, 0.37, seed).any()
 
     def test_deterministic(self):
-        assert sample_shape(500, 0.3, seed=4) == sample_shape(500, 0.3, seed=4)
+        assert (shape_row(500, 0.3, 4) == shape_row(500, 0.3, 4)).all()
 
     def test_two_keys_kpl_identity(self):
         # with two keys both externals sit at the bottom of a path: K = 2S
         for p in (0.2, 0.5, 0.8):
             for t in range(200):
-                st = sample_shape(2, p, rng=trial_rng(17, t))
-                assert st.kpl == 2 * st.size
-                assert st.npl == st.size * (st.size - 1) // 2
-                assert st.height == st.size
+                size, kpl, npl, height = sample_shapes(2, p, 1,
+                                                       trial_rng(17, t))[0]
+                assert kpl == 2 * size
+                assert npl == size * (size - 1) // 2
+                assert height == size
 
     def test_two_keys_mean_size(self):
         # E S_2 = 1/(2pq): geometric common-prefix oracle
@@ -155,31 +160,21 @@ class TestSampleShape:
         # heavily skewed bits make tries ~ log n / |log(p^2+q^2)| deep,
         # far past a 64-level guard
         with pytest.raises(DepthGuardExceeded):
-            sample_shape(10_000, 0.02, seed=0, max_depth=64)
+            shape_row(10_000, 0.02, 0, max_depth=64)
 
     def test_default_guard_scales_with_skew(self):
         # the same draw passes with the (n, p)-aware default guard
-        st = sample_shape(10_000, 0.02, seed=0)
-        assert st.height > 64
+        assert shape_row(10_000, 0.02, 0)[3] > 64
 
     def test_max_depth_validation(self):
         with pytest.raises(ValueError):
-            sample_shape(10, 0.5, seed=0, max_depth=10)
+            shape_row(10, 0.5, 0, max_depth=10)
 
     def test_invalid_p(self):
         with pytest.raises(ValueError):
-            sample_shape(5, -0.1, seed=0)
+            shape_row(5, -0.1, 0)
         with pytest.raises(ValueError, match="1e-17"):
-            sample_shape(5, 1e-17, seed=0)
-
-    def test_is_a_batch_of_one(self):
-        for n, p in ((2, 0.5), (16, 0.5), (300, 0.1)):
-            for t in range(5):
-                one = sample_shape(n, p, rng=trial_rng(41, t))
-                row = sample_shapes(n, p, 1, trial_rng(41, t))[0]
-                assert [one.size, one.kpl, one.npl, one.height] == list(row)
-        one = sample_shape(16, 0.3, seed=6)
-        assert one == sample_shape(16, 0.3, rng=trial_rng(6, 0))
+            shape_row(5, 1e-17, 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -286,11 +281,9 @@ def test_samplers_share_law_small_n():
     trials = 4000
     p, n = 0.3, 6
     a = sample_shapes(n, p, trials, trial_rng(100, 0))[:, :3].astype(float)
-    b = np.empty((trials, 3))
-    for t in range(trials):
-        keys = sample_keys(n, p, rng=trial_rng(200, t))
-        st = shape_stats(build_trie(keys))
-        b[t] = (st.size, st.kpl, st.npl)
+    bits = np.stack([sample_keys(n, p, trial_rng(200, t))
+                     for t in range(trials)])
+    b = key_shapes(bits)[:, :3].astype(float)
     for j, name in enumerate("SKN"):
         se = math.sqrt(a[:, j].var() / trials + b[:, j].var() / trials)
         assert abs(a[:, j].mean() - b[:, j].mean()) < 4 * se, name
