@@ -64,22 +64,23 @@ class RatioSpec:
 
 
 IRRATIONAL = "irrational"
+_MAX_DEN = 64
 
 
-def detect_ratio(p: float, max_den: int = 64) -> RatioSpec | None:
+def detect_ratio(p: float) -> RatioSpec | None:
     """Continued-fraction heuristic for log p/log q; None means irrational.
 
-    A convergent r/l with numerator and denominator <= max_den is proposed
+    A convergent r/l with numerator and denominator <= _MAX_DEN is proposed
     only when it matches to |r log q - l log p| < 1e-12 |log p|.  The
     dichotomy is numerically undecidable; an explicit ratio_spec always
     wins.
     """
     lp, lq = math.log(p), math.log(1.0 - p)
-    frac = Fraction(lp / lq).limit_denominator(max_den)
+    frac = Fraction(lp / lq).limit_denominator(_MAX_DEN)
     r, l = frac.numerator, frac.denominator
     # limit_denominator bounds l only; near p = 0 or 1 the ratio is huge and
     # a huge r would make chi_k, and with it the gamma factors, overflow
-    if not 0 < r <= max_den:
+    if not 0 < r <= _MAX_DEN:
         return None
     if abs(r * lq - l * lp) < 1e-12 * abs(lp):
         return RatioSpec(r, l)
@@ -106,6 +107,11 @@ class ModelParams:
     @property
     def rational(self) -> bool:
         return self.ratio is not None
+
+    @property
+    def symmetric(self) -> bool:
+        """p = 1/2 with its harmonics: the case ``sym_coeffs`` serves."""
+        return abs(self.p - 0.5) <= 1e-15 and self.rational
 
     def chi(self, k: int) -> complex:
         """Harmonic exponent chi_k; positive imaginary part for k > 0."""
@@ -300,28 +306,26 @@ def g2_general(model: ModelParams, k: int) -> complex:
 
 @dataclass(frozen=True)
 class FourierCoeffs:
-    """Coefficients g_k for k = -k_max..k_max of one fluctuation sum."""
+    """Coefficients g_k of one fluctuation sum, stored for k = 0..k_max;
+    g_-k is the conjugate of g_k, as the sum is real."""
 
     family: str
     p: float
-    k_max: int
-    values: tuple          # complex, index k + k_max
+    values: tuple          # complex g_0 .. g_k_max
     chi_unit: complex      # chi_k = k * chi_unit
+
+    @property
+    def k_max(self) -> int:
+        return len(self.values) - 1
 
     def value(self, k: int) -> complex:
         if abs(k) > self.k_max:
             raise IndexError(f"|k|={abs(k)} beyond k_max={self.k_max}")
-        return self.values[k + self.k_max]
+        return self.values[k] if k >= 0 else self.values[-k].conjugate()
 
     def __post_init__(self):
-        g0 = abs(self.values[self.k_max])
-        for k in range(1, self.k_max + 1):
-            v = self.values[k + self.k_max]
-            w = self.values[-k + self.k_max]
-            if abs(v - w.conjugate()) > 1e-30 + 1e-12 * abs(v):
-                raise ValueError("coefficients must be conjugate-symmetric")
-            if abs(v) >= g0:
-                raise ValueError("coefficient magnitudes must decay in |k|")
+        if any(abs(v) >= abs(self.values[0]) for v in self.values[1:]):
+            raise ValueError("coefficient magnitudes must decay in |k|")
 
     def doc(self) -> dict:
         """The coefficients as Python numbers, for the result document."""
@@ -345,9 +349,8 @@ def sym_coeffs(family: str, k_max: int = 5) -> FourierCoeffs:
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     fn = _SYM_FAMILIES[family]
-    pos = [fn(k) for k in range(0, k_max + 1)]
-    vals = [pos[-k].conjugate() for k in range(-k_max, 0)] + pos
-    return FourierCoeffs(family=family, p=0.5, k_max=k_max, values=tuple(vals),
+    return FourierCoeffs(family=family, p=0.5,
+                         values=tuple(fn(k) for k in range(k_max + 1)),
                          chi_unit=chi_sym(1))
 
 
@@ -356,13 +359,11 @@ def cov_coeffs(model: ModelParams, k_max: int = 5) -> FourierCoeffs:
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     if not model.rational:
-        vals = (g2_general(model, 0),)
-        return FourierCoeffs(family="g2", p=model.p, k_max=0, values=vals,
-                             chi_unit=0j)
-    pos = [g2_general(model, k) for k in range(0, k_max + 1)]
-    vals = [pos[-k].conjugate() for k in range(-k_max, 0)] + pos
-    return FourierCoeffs(family="g2", p=model.p, k_max=k_max,
-                         values=tuple(vals), chi_unit=model.chi(1))
+        return FourierCoeffs(family="g2", p=model.p,
+                             values=(g2_general(model, 0),), chi_unit=0j)
+    return FourierCoeffs(family="g2", p=model.p,
+                         values=tuple(g2_general(model, k) for k in range(k_max + 1)),
+                         chi_unit=model.chi(1))
 
 
 def fluct_eval(coeffs: FourierCoeffs, n) -> float:
@@ -447,17 +448,18 @@ def invsqrt2(m: SymMatrix2) -> SymMatrix2:
     return SymMatrix2(a=(m.c + s) / d, b=-m.b / d, c=(m.a + s) / d)
 
 
-def sigma_matrix(model: ModelParams, n: float, k_max: int = 5) -> SymMatrix2:
+def sigma_matrix(model: ModelParams, n: float) -> SymMatrix2:
     """Asymptotic covariance matrix of (size, KPL) scaled by n:
-    n [[F[g1], F[g2]], [F[g2], F[g3]]], p = 1/2 only: other p raise
-    ValueError, as general-p g1/g3 closed forms are out of scope.
+    n [[F[g1], F[g2]], [F[g2], F[g3]]], with harmonics |k| <= 5, for the
+    symmetric model only: other models raise ValueError, as general-p g1/g3
+    closed forms are out of scope.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if abs(model.p - 0.5) > 1e-15:
+    if not model.symmetric:
         raise ValueError(
             "asymptotic covariance matrix needs g1/g3 coefficients, "
             "implemented only for p = 1/2")
-    c1, c2, c3 = (sym_coeffs(f, k_max) for f in ("g1", "g2", "g3"))
+    c1, c2, c3 = (sym_coeffs(f) for f in ("g1", "g2", "g3"))
     return SymMatrix2(a=n * fluct_eval(c1, n), b=n * fluct_eval(c2, n),
                       c=n * fluct_eval(c3, n))

@@ -81,16 +81,25 @@ def _render(cfg: dict, doc: dict, fmt: str, csv_body=_flat_kv) -> str:
 
 
 def _parse_ratio(args) -> asym.RatioSpec | str | None:
-    if getattr(args, "irrational", False):
+    if args.irrational:
         return asym.IRRATIONAL
-    spec = getattr(args, "ratio", None)
-    if spec is None:
+    if args.ratio is None:
         return None
     try:
-        r, l = spec.split("/")
+        r, l = args.ratio.split("/")
         return asym.RatioSpec(int(r), int(l))
     except (ValueError, TypeError) as e:
         raise ValueError(f"--ratio must look like r/l: {e}")
+
+
+def _table(p: float, n_max: int, precision: str, name: str) -> exact.MomentTable:
+    """The exact table to n_max; ``name`` is the flag n_max came from.  Its
+    cost grows like n_max^1.5, so past _MAX_NMAX it is refused (exit 2)."""
+    if n_max < 2:
+        raise ValueError(f"{name} must be >= 2")
+    if n_max > _MAX_NMAX:
+        raise ValueError(f"{name} must be <= {_MAX_NMAX} for an exact table")
+    return exact.compute(p, n_max, precision)
 
 
 # ---------------------------------------------------------------------------
@@ -98,9 +107,7 @@ def _parse_ratio(args) -> asym.RatioSpec | str | None:
 # ---------------------------------------------------------------------------
 
 def _cmd_exact(args) -> str:
-    if not (2 <= args.nmax <= _MAX_NMAX):
-        raise ValueError(f"nmax must be in [2, {_MAX_NMAX}]")
-    table = exact.compute(args.p, args.nmax, args.precision)
+    table = _table(args.p, args.nmax, args.precision, "nmax")
     cfg = {"p": args.p, "n_max": args.nmax, "precision": args.precision,
            "command": "exact", "format": args.format}
     cols = dict(zip(table.COLUMNS, table.columns()))
@@ -125,9 +132,8 @@ def _cmd_asym(args) -> str:
            "ratio": f"{model.ratio.r}/{model.ratio.l}" if model.ratio else "irrational",
            "ratio_source": model.ratio_source}
 
-    symmetric = abs(args.p - 0.5) <= 1e-15 and model.rational
     if args.emit_F:
-        if not symmetric:
+        if not model.symmetric:
             raise ValueError("--emit-F requires p = 0.5")
         x, f = asym.F_profile(points=args.points, k_max=args.kmax)
         # the profile is CSV whatever --format says
@@ -136,7 +142,7 @@ def _cmd_asym(args) -> str:
                            f"{xi!r},{fi!r}" for xi, fi in zip(doc["log2n"], doc["F"])])
 
     doc = {"h": model.h, "lambda": model.lam, "lambda_alt": model.lam_alt}
-    if symmetric:
+    if model.symmetric:
         tabs = [asym.sym_coeffs(f, args.kmax) for f in ("g1", "g2", "g3")]
         g10, g20, g30 = (t.value(0).real for t in tabs)
         doc["F_average"] = g20 / math.sqrt(g10 * g30)
@@ -162,8 +168,11 @@ def _cmd_simulate(args) -> str:
 def _cmd_whiten(args) -> str:
     cfg = {"n": args.n, "p": args.p, "trials": args.trials, "seed": args.seed,
            "source": args.source, "command": "whiten", "format": args.format}
+    table = None
+    if args.source == "exact":     # built before sampling, so the cap comes first
+        table = _table(args.p, args.n, "standard", "n")
     report = mc.whiten(args.n, args.p, args.trials, args.seed,
-                       source=args.source)
+                       source=args.source, table=table)
     return _render(cfg, report.doc(), args.format)
 
 
@@ -195,48 +204,38 @@ def _cmd_compare(args) -> str:
     grid = sorted({int(v) for v in args.n_grid.split(",")})
     if grid[0] < 2:
         raise ValueError("n-grid values must be >= 2")
-    if grid[-1] > _MAX_NMAX:
-        raise ValueError(f"n-grid values must be <= {_MAX_NMAX}")
     cfg = {"command": "compare", "p": args.p, "n_grid": args.n_grid,
            "trials": args.trials, "seed": args.seed,
            "precision": args.precision, "format": args.format}
     model = asym.params(args.p)
-    table = exact.compute(args.p, grid[-1], args.precision)
-    symmetric = abs(args.p - 0.5) <= 1e-15
-
-    rows = []
-    if symmetric:
+    table = _table(args.p, grid[-1], args.precision, "n-grid values")
+    if model.symmetric:
         c1, c2, c3 = (asym.sym_coeffs(f) for f in ("g1", "g2", "g3"))
         header = ("n,covSK_over_n,fluct_g2,diff_g2,varS_over_n,fluct_g1,"
                   "diff_g1,varK_over_n,fluct_g3,diff_g3,rho_exact,rho_mc")
-        for n in grid:
-            cover = table.cov_SK(n) / n
-            vsover = table.var_S(n) / n
-            vkover = table.var_K(n) / n
-            f1, f2, f3 = (asym.fluct_eval(c, n) for c in (c1, c2, c3))
-            rho_mc = float("nan")
-            if args.trials:
-                rho_mc = mc.run(n, args.p, args.trials, args.seed).rho("S", "K")
-            rows.append([n, cover, f2, abs(cover - f2), vsover, f1,
-                         abs(vsover - f1), vkover, f3, abs(vkover - f3),
-                         table.rho_SK(n), rho_mc])
-        summary = {"g2_0": c2.value(0).real}
     else:
         g20 = asym.g2_general(model, 0).real
         header = ("n,covSK_over_n,g2_0,diff_g2,varK_over_n,ln_n,"
                   "rho_exact,rho_mc")
-        xs, ys = [], []
-        for n in grid:
-            cover = table.cov_SK(n) / n
-            vkover = table.var_K(n) / n
-            xs.append(math.log(n))
-            ys.append(vkover)
-            rho_mc = float("nan")
-            if args.trials:
-                rho_mc = mc.run(n, args.p, args.trials, args.seed).rho("S", "K")
-            rows.append([n, cover, g20, abs(cover - g20), vkover,
-                         math.log(n), table.rho_SK(n), rho_mc])
-        slope = float(np.polyfit(xs, ys, 1)[0]) if len(grid) >= 2 else float("nan")
+    rows = []
+    for n in grid:
+        cover, vsover, vkover = (table.cov_SK(n) / n, table.var_S(n) / n,
+                                 table.var_K(n) / n)
+        if model.symmetric:
+            f1, f2, f3 = (asym.fluct_eval(c, n) for c in (c1, c2, c3))
+            row = [f2, abs(cover - f2), vsover, f1, abs(vsover - f1), vkover,
+                   f3, abs(vkover - f3)]
+        else:
+            row = [g20, abs(cover - g20), vkover, math.log(n)]
+        rho_mc = float("nan")
+        if args.trials:
+            rho_mc = mc.run(n, args.p, args.trials, args.seed).rho("S", "K")
+        rows.append([n, cover] + row + [table.rho_SK(n), rho_mc])
+    if model.symmetric:
+        summary = {"g2_0": c2.value(0).real}
+    else:   # the slope of VarK/n against ln n
+        xs, ys = [r[5] for r in rows], [r[4] for r in rows]
+        slope = float(np.polyfit(xs, ys, 1)[0]) if len(grid) >= 2 else math.nan
         summary = {"lambda": model.lam, "varK_slope": slope,
                    "slope_rel_err": abs(slope - model.lam) / model.lam}
 
@@ -348,8 +347,6 @@ def _apply_config_file(argv: list[str]) -> list[str]:
                 continue
             else:
                 flags.extend([f"--{k}", v])
-    if not rest:
-        return flags
     # keep the subcommand first; user flags come after config flags so they win
     return rest[:1] + flags + rest[1:]
 

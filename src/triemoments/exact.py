@@ -49,8 +49,9 @@ dtype its weights and moments are carried in.  Binomial weights come from
 a mode-centred multiplicative recurrence with renormalisation over the
 window, the linear reduction is numpy's pairwise sum and the Gram matrix
 one matmul, so output is byte-identical per machine and BLAS build.  The
-raw moments ES2 ... ESN are derived as Var + mean * mean in the working
-dtype, and every array is rounded to float64 once at the end.
+table holds the eight rows the recurrence carries, the three means and the
+five centred second moments, each rounded to float64 once at the end; a
+raw moment is Var + mean * mean (``PoissonModel`` forms the ones it uses).
 
 standard   float64.
 extended   long double, which needs a 64-bit significand (x86-64); with
@@ -83,12 +84,6 @@ from .errors import DegenerateVariance, GuardExceeded
 # 64-bit significand, 11 bits more than float64.  Where long double is only
 # a double, compute() refuses "extended".
 _EXTENDED = np.longdouble
-_MEANS = ("ES", "EK", "EN")
-# centred second moments in within-n order, each with the raw moment and
-# the two means it is centred by: Cov(X, Y) = E(XY) - E(X) E(Y)
-_CENTRED = {"VarS": ("ES2", "ES", "ES"), "VarK": ("EK2", "EK", "EK"),
-            "CovSK": ("ESK", "ES", "EK"), "CovSN": ("ESN", "ES", "EN"),
-            "VarN": ("EN2", "EN", "EN")}
 # Each tail outside the DP's window carries at most 2^-_TAIL_BITS of the
 # binomial mass, far below the 2^-53 (2^-64) roundoff of the float64 (long
 # double) sums (Hoeffding, see _windows).
@@ -163,7 +158,7 @@ class MomentTable:
     """Exact first/second/mixed moments of (S_n, K_n, N_n) for n <= n_max.
 
     ES, EK, EN are the means; VarS ... CovSN the centred second moments the
-    accessors return; ES2 ... ESN the raw second moments.
+    accessors return.
     """
 
     p: float
@@ -172,11 +167,6 @@ class MomentTable:
     ES: np.ndarray
     EK: np.ndarray
     EN: np.ndarray
-    ES2: np.ndarray
-    EK2: np.ndarray
-    EN2: np.ndarray
-    ESK: np.ndarray
-    ESN: np.ndarray
     VarS: np.ndarray
     VarK: np.ndarray
     VarN: np.ndarray
@@ -301,7 +291,7 @@ def _compute_centred(p: float, q: float, n_max: int, dtype) -> dict:
         vSN[n] = vsn = (lin[6] + lin[3] + Q[0, 2] + wb * (vss + ms)) / denom
         vNN[n] = (lin[7] + 2.0 * lin[6] + lin[3] + Q[2, 2]
                   + wb * (2.0 * vsn + vss + ms * ms)) / denom
-    return dict(zip(_MEANS + tuple(_CENTRED), M))
+    return dict(zip(("ES", "EK", "EN", "VarS", "VarK", "CovSK", "CovSN", "VarN"), M))
 
 
 def compute(p: float, n_max: int, precision: str = "standard") -> MomentTable:
@@ -320,10 +310,8 @@ def compute(p: float, n_max: int, precision: str = "standard") -> MomentTable:
                 "precision 'extended' needs a long double with a 64-bit "
                 f"significand; this platform's has {bits} bits")
     t = _compute_centred(p_eff, q_eff, n_max, dtype)
-    for name, (raw, a, b) in _CENTRED.items():
-        t[raw] = t[name] + t[a] * t[b]
-    t = {k: v.astype(np.float64, copy=False) for k, v in t.items()}
-    return MomentTable(p=p, n_max=n_max, precision=precision, **t)
+    return MomentTable(p=p, n_max=n_max, precision=precision,
+                       **{k: v.astype(np.float64, copy=False) for k, v in t.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +370,10 @@ class PoissonSeries:
 class PoissonModel:
     """The five Poisson generating functions of one moment table.
 
-    f10/f01 are the transforms of ES/EK, f20/f02 of the second moments and
-    f11 of the mixed moment; from them the Poissonized variances, the
-    Poissonized covariance and its two toll functions are evaluated.
+    f10/f01 are the transforms of ES/EK, f20/f02 of the raw second moments
+    and f11 of the raw mixed moment, each Cov + mean * mean; from them the
+    Poissonized variances, the Poissonized covariance and its two toll
+    functions are evaluated.
     """
 
     def __init__(self, table: MomentTable):
@@ -392,13 +381,10 @@ class PoissonModel:
         self.q = 1.0 - table.p
         self.f10 = PoissonSeries.from_moments(table.ES)
         self.f01 = PoissonSeries.from_moments(table.EK)
-        self.f20 = PoissonSeries.from_moments(table.ES2)
-        self.f02 = PoissonSeries.from_moments(table.EK2)
-        self.f11 = PoissonSeries.from_moments(table.ESK)
-
-    @property
-    def guard_z(self) -> float:
-        return self.f10.guard_z
+        es, ek = table.ES, table.EK
+        self.f20 = PoissonSeries.from_moments(table.VarS + es * es)
+        self.f02 = PoissonSeries.from_moments(table.VarK + ek * ek)
+        self.f11 = PoissonSeries.from_moments(table.CovSK + es * ek)
 
     def var_S(self, z: float) -> float:
         """Poissonized variance of the size: f20 - f10^2 - z f10'^2."""

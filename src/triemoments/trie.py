@@ -17,8 +17,8 @@ alias table with one uniform, a larger one from ``rng.binomial``.
 ``key_shapes`` measures the tries of explicit key prefixes, such as those of
 ``sample_keys``, from the common-prefix lengths of their sorted keys; the
 tests check the sampler against it.  Draws are deterministic given their
-Generator; Monte-Carlo streams are derived from a master seed by counter
-addressing (see ``trial_rng``), one per batch.
+Generator; Monte-Carlo streams are derived from a master seed in
+[0, 2**128) by counter addressing (see ``trial_rng``), one per batch.
 """
 
 from __future__ import annotations
@@ -51,11 +51,13 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 
     Monte-Carlo batch b draws from ``trial_rng(seed, b)``.  The counter
     ``trial << 128`` is the state ``Philox(key).jumped(trial)`` reaches (a
-    jump adds to the upper 128 counter bits), set directly.  Stream numbers
-    outside [0, 2**128) raise ValueError instead of wrapping.
+    jump adds to the upper 128 counter bits), set directly.  Seeds and
+    stream numbers outside [0, 2**128) raise ValueError instead of wrapping,
+    so no two seeds share a stream.
     """
-    return np.random.Generator(np.random.Philox(
-        key=seed & ((1 << 128) - 1), counter=trial << 128))
+    if not 0 <= seed < 1 << 128:
+        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+    return np.random.Generator(np.random.Philox(key=seed, counter=trial << 128))
 
 
 def sample_keys(n: int, p: float, rng: np.random.Generator,
@@ -167,8 +169,8 @@ def _alias_split(m: np.ndarray, u: np.ndarray, prob: np.ndarray,
     return out
 
 
-def sample_shapes(n: int, p: float, count: int, rng: np.random.Generator,
-                  max_depth: int | None = None) -> np.ndarray:
+def sample_shapes(n: int, p: float, count: int,
+                  rng: np.random.Generator) -> np.ndarray:
     """Sample ``count`` independent tries of n keys with the exact trie law.
 
     Returns a (count, 4) int64 array with columns size, kpl, npl, height.
@@ -183,7 +185,9 @@ def sample_shapes(n: int, p: float, count: int, rng: np.random.Generator,
     use K = sum over internal nodes of their key counts (a key's depth is
     its number of internal ancestors), and a trie's height is the number of
     depths at which it has an internal node.  Given the same Generator state
-    the result is bitwise reproducible.
+    the result is bitwise reproducible.  A trie deeper than
+    ``_default_max_depth(n, p)``, an event of probability about e^-40,
+    raises DepthGuardExceeded.
     """
     _canonical(p)
     if n < 0:
@@ -192,10 +196,7 @@ def sample_shapes(n: int, p: float, count: int, rng: np.random.Generator,
         raise ValueError("count must be >= 0")
     if n <= 1 or count == 0:
         return np.zeros((count, 4), dtype=np.int64)
-    if max_depth is None:
-        max_depth = _default_max_depth(n, p)
-    elif max_depth < 64:
-        raise ValueError("max_depth must be >= 64")
+    guard = _default_max_depth(n, p)
     active = np.full(count, n, dtype=np.int64)   # keys under each internal node
     # ends[t]: internal nodes of tries 0..t at this depth, so trie t owns
     # active[ends[t-1]:ends[t]] and children[2*ends[t-1]:2*ends[t]].  Each
@@ -210,9 +211,9 @@ def sample_shapes(n: int, p: float, count: int, rng: np.random.Generator,
     big = ends      # non-empty, so the first depth looks for big nodes
     d = 0
     while active.size:
-        if d > max_depth:
+        if d > guard:
             raise DepthGuardExceeded(
-                f"splitting recursion past depth {max_depth} at n={n}, p={p}")
+                f"splitting recursion past depth {guard} at n={n}, p={p}")
         children = np.empty(2 * active.size, dtype=np.int64)
         left = children[0::2]
         _alias_split(active, rng.random(active.size), prob, alias, left)

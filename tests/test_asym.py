@@ -5,8 +5,8 @@ import pytest
 from mpmath import mp, mpf
 
 from conftest import assert_close
-from triemoments import (IRRATIONAL, NotPositiveDefinite, RatioSpec,
-                         RatioSpecMismatch, SymMatrix2,
+from triemoments import (IRRATIONAL, FourierCoeffs, NotPositiveDefinite,
+                         RatioSpec, RatioSpecMismatch, SymMatrix2,
                          TruncationNotConverged, F_of_n,
                          F_profile, cov_coeffs, detect_ratio, fluct_eval,
                          g1_sym, g2_general, g2_sym, g3_sym, invsqrt2, params,
@@ -106,6 +106,12 @@ class TestParams:
     def test_invalid_p(self):
         with pytest.raises(ValueError):
             params(0.0)
+
+    def test_symmetric_case(self):
+        # the one p = 1/2 rule of asym, compare and sigma_matrix
+        assert params(0.5).symmetric and params(0.5 + 2 ** -52).symmetric
+        assert not params(0.5, IRRATIONAL).symmetric
+        assert not params(0.3).symmetric and not params(0.5 + 1e-12).symmetric
 
 
 class TestSymCoefficients:
@@ -218,6 +224,12 @@ class TestFluctuation:
         for k in (1, 2, 3, 4):
             assert c.value(-k) == c.value(k).conjugate()
             assert abs(c.value(k)) < abs(c.value(0))
+        # a harmonic no smaller than g_0 is refused
+        g = (1.5 + 0j, 0.1 + 0.2j, 1.5j)
+        with pytest.raises(ValueError, match="decay"):
+            FourierCoeffs(family="g2", p=0.5, values=g, chi_unit=c.chi_unit)
+        assert FourierCoeffs(family="g2", p=0.5, values=g[:2],
+                             chi_unit=c.chi_unit).k_max == 1
 
     def test_coeff_json(self):
         c = sym_coeffs("g1", k_max=2)

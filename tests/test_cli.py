@@ -285,6 +285,37 @@ class TestConfigFile:
         code, _, _ = run_cli(["exact", "--config", "/nope/none.cfg"], capsys)
         assert code == 4
 
+    def test_comments_and_blank_lines_skipped(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# exact table\n\np = 0.5\n  # nmax=99\nnmax=8\n")
+        code, out, _ = run_cli(["exact", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert "n_max=8 " in out.splitlines()[0]
+
+    def test_line_without_equals_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("p=0.5\nnmax 8\n")
+        code, _, err = run_cli(["exact", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "bad config line: 'nmax 8'" in err
+
+    def test_boolean_flags(self, tmp_path, capsys):
+        # irrational=true sets the flag, a false value leaves it off
+        cfg = tmp_path / "run.cfg"
+        for value, ratio in (("true", "irrational"), ("no", "2/1")):
+            cfg.write_text(f"p=0.381966011250105\nirrational={value}\n")
+            code, out, _ = run_cli(["asym", "--config", str(cfg)], capsys)
+            assert code == 0
+            assert json.loads(out)["config"]["ratio"] == ratio
+
+    def test_config_without_command_exit_2(self, tmp_path, capsys):
+        # a config file holds flags, never the command
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("p=0.5\nnmax=8\n")
+        code, out, err = run_cli(["--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == "" and "usage: triemoments" in err
+
 
 def test_console_entry_point():
     proc = subprocess.run(
@@ -331,6 +362,15 @@ BAD_INPUT = [  # (arguments, exit code)
     # the asymptotic covariance matrix exists only at p = 1/2
     (["whiten", "--p", "0.3", "--n", "64", "--trials", "300", "--source",
       "asymptotic"], 2),
+    # an exact table past the 30,000-row cap, refused before it is built
+    (["whiten", "--p", "0.5", "--n", "40000", "--trials", "10", "--source",
+      "exact"], 2),
+    # Philox keys are 128 bits: these seeds would wrap onto seeds 2**128 - 1
+    # and 1
+    (["simulate", "--p", "0.5", "--n", "16", "--trials", "100", "--seed",
+      "-1"], 2),
+    (["simulate", "--p", "0.5", "--n", "16", "--trials", "100", "--seed",
+      str(2 ** 128 + 1)], 2),
 ]
 
 
@@ -354,6 +394,10 @@ def test_bad_input_fails_fast(args, code):
         assert "n must be >= 2" in proc.stderr, proc.stderr
     if "--bins" in args:
         assert "bins must be <= trials" in proc.stderr, proc.stderr
+    if "--seed" in args:
+        assert "seed must be in [0, 2**128)" in proc.stderr, proc.stderr
+    if "40000" in args:
+        assert "n must be <= 30000" in proc.stderr, proc.stderr
 
 
 CONFIG_CASES = [

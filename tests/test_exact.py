@@ -12,7 +12,7 @@ from conftest import assert_close, table, two_key_oracle
 from triemoments import DegenerateVariance, MomentTable, compute
 from triemoments.asym import IRRATIONAL, g2_general, params
 from triemoments.cli import main
-from triemoments.exact import _TAIL_BITS, _binom_weights, _windows
+from triemoments.exact import _TAIL_BITS, _binom_weights, _canonical, _windows
 
 
 class TestWeights:
@@ -98,11 +98,13 @@ class TestTwoKeyOracle:
         assert_close(t.ES[2], want["ES"], rtol=1e-13, msg="ES")
         assert_close(t.EK[2], want["EK"], rtol=1e-13, msg="EK")
         assert_close(t.EN[2], want["EN"], rtol=1e-13, msg="EN")
-        assert_close(t.ES2[2], want["ES2"], rtol=1e-13, msg="ES2")
-        assert_close(t.EK2[2], want["EK2"], rtol=1e-13, msg="EK2")
-        assert_close(t.ESK[2], want["ESK"], rtol=1e-13, msg="ESK")
-        assert_close(t.ESN[2], want["ESN"], rtol=1e-13, msg="ESN")
-        assert_close(t.EN2[2], want["EN2"], rtol=1e-13, msg="EN2")
+        # raw second moments: E(XY) = Cov(X, Y) + E(X) E(Y)
+        es, ek, en = t.ES[2], t.EK[2], t.EN[2]
+        assert_close(t.VarS[2] + es * es, want["ES2"], rtol=1e-13, msg="ES2")
+        assert_close(t.VarK[2] + ek * ek, want["EK2"], rtol=1e-13, msg="EK2")
+        assert_close(t.CovSK[2] + es * ek, want["ESK"], rtol=1e-13, msg="ESK")
+        assert_close(t.CovSN[2] + es * en, want["ESN"], rtol=1e-13, msg="ESN")
+        assert_close(t.VarN[2] + en * en, want["EN2"], rtol=1e-13, msg="EN2")
 
     def test_rho_SK_is_one(self, p):
         t = compute(p, 4)
@@ -119,9 +121,12 @@ def test_known_values_at_half():
     assert_close(t.mean_depth(2), 2.0, rtol=1e-14)
 
 
+_ROWS = MomentTable.COLUMNS[1:9]     # the eight stored rows
+
+
 def test_boundary_rows_zero():
     t = compute(0.3, 8)
-    for name in ("ES", "EK", "EN", "ES2", "EK2", "EN2", "ESK", "ESN"):
+    for name in _ROWS:
         arr = getattr(t, name)
         assert arr[0] == 0.0 and arr[1] == 0.0
 
@@ -129,7 +134,7 @@ def test_boundary_rows_zero():
 def test_exchange_symmetry():
     a = compute(0.3, 64)
     b = compute(0.7, 64)
-    for name in ("ES", "EK", "EN", "ES2", "EK2", "EN2", "ESK", "ESN"):
+    for name in _ROWS:
         np.testing.assert_allclose(getattr(a, name), getattr(b, name),
                                    rtol=1e-12, err_msg=name)
 
@@ -142,8 +147,7 @@ def test_exchange_symmetry_is_bitwise(p):
     # the asymptotic constants come out bit-identical, not merely close
     q = 1.0 - p
     a, b = compute(p, 512), compute(q, 512)
-    for name in ("ES", "EK", "EN", "ES2", "EK2", "EN2", "ESK", "ESN",
-                 "VarS", "VarK", "VarN", "CovSK", "CovSN"):
+    for name in _ROWS:
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
     ma, mb = params(p, IRRATIONAL), params(q, IRRATIONAL)
     assert (ma.h, ma.lam) == (mb.h, mb.lam)
@@ -166,10 +170,36 @@ def test_extended_matches_standard():
     a = compute(0.5, 256)
     b = compute(0.5, 256, "extended")
     np.testing.assert_allclose(a.ES, b.ES, rtol=1e-13)
-    np.testing.assert_allclose(a.EK2, b.EK2, rtol=1e-13)
+    np.testing.assert_allclose(a.VarK + a.EK * a.EK, b.VarK + b.EK * b.EK,
+                               rtol=1e-13)
     for n in (17, 100, 256):
         assert_close(a.var_K(n), b.var_K(n), rtol=1e-11, msg=f"var_K({n})")
         assert_close(a.rho_SK(n), b.rho_SK(n), rtol=1e-11, msg=f"rho({n})")
+
+
+def test_tiny_weight_trimming_matches_extended():
+    # at p = 1e-3 the float64 window reaches past underflow from n = 502 on,
+    # and the DP drops the zero and subnormal weights at its ends; long
+    # double's wider exponent range trims nowhere, so it is the reference
+    p, n_max = 1e-3, 1000
+    pc, qc = _canonical(p)
+    lows, highs = _windows(n_max, pc)
+
+    def trimmed(dtype):
+        tiny = np.finfo(dtype).tiny
+        return [n for n in range(2, n_max + 1)
+                if min(_binom_weights(n, pc, qc, dtype, lows[n], highs[n])[[0, -1]])
+                < tiny]
+
+    f64 = trimmed(np.float64)
+    assert (len(f64), f64[0]) == (496, 502)
+    assert trimmed(np.longdouble) == []
+    a, b = compute(p, n_max), compute(p, n_max, "extended")
+    for name in _ROWS:
+        x, y = getattr(a, name)[2:], getattr(b, name)[2:]
+        # measured worst 1.9e-13 (VarN), the small-p cancellation of the
+        # self-term denominator 1 - p^n - q^n at small n
+        assert np.max(np.abs(x - y) / np.abs(y)) < 3e-13, name
 
 
 def test_accessor_errors():

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import assert_close, two_key_oracle
 from triemoments import (DepthGuardExceeded, KeyExhausted, key_shapes,
                          sample_keys, sample_shapes, trial_rng)
+from triemoments import trie
 from triemoments.exact import compute as exact_compute
 from triemoments.trie import _ROW_START, _SMALL, _alias_split, _alias_tables
 
@@ -124,9 +125,9 @@ class TestSampleKeys:
         assert sample_keys(5, 0.5, trial_rng(1, 0), prefix_len=17).shape == (5, 17)
 
 
-def shape_row(n, p, seed, max_depth=None):
+def shape_row(n, p, seed):
     """One trie drawn by ``sample_shapes`` from stream ``trial_rng(seed, 0)``."""
-    return sample_shapes(n, p, 1, trial_rng(seed, 0), max_depth)[0]
+    return sample_shapes(n, p, 1, trial_rng(seed, 0))[0]
 
 
 class TestSampleShape:
@@ -156,19 +157,16 @@ class TestSampleShape:
         se = math.sqrt(var / trials)
         assert_close(mean, 2.0, atol=3 * se, msg="E S_2 at p=1/2")
 
-    def test_depth_guard(self):
+    def test_depth_guard(self, monkeypatch):
         # heavily skewed bits make tries ~ log n / |log(p^2+q^2)| deep,
         # far past a 64-level guard
-        with pytest.raises(DepthGuardExceeded):
-            shape_row(10_000, 0.02, 0, max_depth=64)
+        monkeypatch.setattr(trie, "_default_max_depth", lambda n, p: 64)
+        with pytest.raises(DepthGuardExceeded, match="past depth 64"):
+            shape_row(10_000, 0.02, 0)
 
     def test_default_guard_scales_with_skew(self):
         # the same draw passes with the (n, p)-aware default guard
         assert shape_row(10_000, 0.02, 0)[3] > 64
-
-    def test_max_depth_validation(self):
-        with pytest.raises(ValueError):
-            shape_row(10, 0.5, 0, max_depth=10)
 
     def test_invalid_p(self):
         with pytest.raises(ValueError):
@@ -302,3 +300,13 @@ def test_trial_rng_is_the_jumped_stream(t):
         np.testing.assert_array_equal(got.state["state"][part],
                                       ref.state["state"][part])
     assert got.random_raw(8).tolist() == ref.random_raw(8).tolist()
+
+
+def test_trial_rng_refuses_seeds_outside_128_bits():
+    # Philox keys are 128 bits: a wider or negative seed would wrap onto the
+    # stream of another seed
+    for seed in (-1, 2**128, 2**128 + 1):
+        with pytest.raises(ValueError, match="seed"):
+            trial_rng(seed, 0)
+    top = trial_rng(2**128 - 1, 0).bit_generator.state["state"]["key"]
+    assert top.tolist() == [2**64 - 1, 2**64 - 1]
