@@ -168,6 +168,7 @@ def _cmd_simulate(args) -> str:
 def _cmd_whiten(args) -> str:
     cfg = {"n": args.n, "p": args.p, "trials": args.trials, "seed": args.seed,
            "source": args.source, "command": "whiten", "format": args.format}
+    mc.check(args.n, args.p, args.trials, 2)
     table = None
     if args.source == "exact":     # built before sampling, so the cap comes first
         table = _table(args.p, args.n, "standard", "n")
@@ -208,6 +209,9 @@ def _cmd_compare(args) -> str:
            "trials": args.trials, "seed": args.seed,
            "precision": args.precision, "format": args.format}
     model = asym.params(args.p)
+    if args.trials:     # refuse Monte-Carlo inputs before building the table
+        for n in grid:
+            mc.check(n, args.p, args.trials, 100)
     table = _table(args.p, grid[-1], args.precision, "n-grid values")
     if model.symmetric:
         c1, c2, c3 = (asym.sym_coeffs(f) for f in ("g1", "g2", "g3"))
@@ -323,11 +327,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _apply_config_file(argv: list[str]) -> list[str]:
-    """Inline --config key=value file contents as flags (flags override)."""
+def _apply_config_file(parser: argparse.ArgumentParser,
+                       argv: list[str]) -> list[str]:
+    """Inline --config key=value file contents as flags (flags override).
+    The command must come first: a config file carries flags only."""
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
+    if i == 0 or argv[0].startswith("-"):
+        parser.error("name the command before --config")
     if i + 1 >= len(argv):
         raise ValueError("--config needs a file path")
     path = argv[i + 1]
@@ -354,8 +362,8 @@ def _apply_config_file(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_config_file(argv)
-        args = _build_parser().parse_args(argv)
+        parser = _build_parser()
+        args = parser.parse_args(_apply_config_file(parser, argv))
         text = args.fn(args)
         _emit(text, args.out)
         return 0

@@ -1,15 +1,19 @@
 """Monte-Carlo estimation of trie shape moments, whitening and diagnostics.
 
 Trials are drawn in batches of G(n) = clamp(2**16 // n, 1, 1024) consecutive
-trials, so a batch holds about 2**16 keys, bounding its memory.  Batch b covers
-trials [b*G, (b+1)*G) and draws all of them with one ``trie.sample_shapes``
-call from its own counter-derived stream ``trie.trial_rng(seed, b)``.  The
-batch is the stream unit: a sample matrix of k*G trials is a prefix of any
-longer one with the same seed, and a last, shorter batch is drawn with
-fewer tries from its stream.  Before drawing, ``sample_matrix`` refuses
-n < 2 with ValueError, and with WorkBudgetExceeded a run whose batches
-would hold a trie of more than ``_MAX_KEYS`` keys or run for more than
-``_MAX_LEVELS`` levels.
+trials, so a batch holds about 2**16 keys.  Batch b covers trials
+[b*G, (b+1)*G) and draws all of them from its own counter-derived stream
+``trie.trial_rng(seed, b)``.  The batch is the stream unit: a sample matrix
+of k*G trials is a prefix of any longer one with the same seed, and a last,
+shorter batch is drawn with fewer tries from its stream.  Consecutive
+batches share one ``trie.sample_shapes`` call, up to ``_CALL_KEYS`` = 2**17
+keys and ``_MAX_BATCH`` tries a call (one batch at least), so they share the
+sampler's level loop while each still draws from its own stream; this
+bounds a call's memory and changes no sample.  Before drawing, ``check``
+refuses n < 2, too few trials or a bad p with ValueError, and with
+WorkBudgetExceeded a run whose batches would hold a trie of more than
+``_MAX_KEYS`` keys or run for more than ``_MAX_LEVELS`` levels; the CLI
+calls it before building an exact table.
 
 Every command reduces the full sample matrix (trials x 3 int64, 24 B per
 trial) once, through one centring helper: ``run`` for the mean, covariance,
@@ -33,9 +37,10 @@ from .trie import sample_shapes, trial_rng
 
 _BATCH_KEYS = 2 ** 16
 _MAX_BATCH = 1024
+_CALL_KEYS = 2 ** 17     # keys one sample_shapes call draws, over its batches
 _SQRT2 = math.sqrt(2.0)
-# Budget of one batch.  Its memory follows its widest level, about 21 B a
-# key at p = 1/2 (less at skewed p), so 2**24 keys take about 350 MiB.  Its
+# Budget of one batch.  Its memory follows its widest level, about 15 B a
+# key at p = 1/2 (less at skewed p), so 2**24 keys take about 240 MiB.  Its
 # time at tiny p follows its height: a level costs 60-120 us (2-core box,
 # n = 2..1e5, p = 1e-4 and 1e-3), so 1e6 levels take one to two minutes.
 _MAX_KEYS = 2 ** 24
@@ -58,32 +63,45 @@ def _batch_height(n: int, p: float, g: int) -> float:
     return math.log(g * n * (n - 1) / 2) / -math.log1p(-2.0 * p * (1.0 - p))
 
 
-def sample_matrix(n: int, p: float, trials: int, seed: int) -> np.ndarray:
-    """(trials, 3) matrix of (S, K, N) samples, deterministic per seed.
-
-    Raises WorkBudgetExceeded before drawing when n is above _MAX_KEYS or
-    the expected height of a batch (``_batch_height``) is above _MAX_LEVELS.
-    """
+def check(n: int, p: float, trials: int, least: int) -> None:
+    """Refuse a Monte-Carlo run before any work: n < 2, fewer than ``least``
+    trials or a bad p with ValueError, and with WorkBudgetExceeded a batch
+    with a trie of more than _MAX_KEYS keys or an expected height
+    (``_batch_height``) above _MAX_LEVELS levels."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    if trials < 2:
-        raise ValueError("trials must be >= 2")
+    if trials < least:
+        raise ValueError(f"trials must be >= {least}")
     exact._canonical(p)
     if n > _MAX_KEYS:
         raise WorkBudgetExceeded(
             f"n={n}: a trie of more than {_MAX_KEYS} keys is above the "
-            f"Monte-Carlo budget (memory of about 21 B a key)")
-    g = _batch_size(n)
-    levels = _batch_height(n, p, min(g, trials))
+            f"Monte-Carlo budget (memory of about 15 B a key)")
+    levels = _batch_height(n, p, min(_batch_size(n), trials))
     if levels > _MAX_LEVELS:
         raise WorkBudgetExceeded(
             f"n={n}, p={p}: a batch of tries is expected to run for "
             f"{levels:.2g} levels, above the Monte-Carlo budget of "
             f"{_MAX_LEVELS} levels")
+
+
+def sample_matrix(n: int, p: float, trials: int, seed: int) -> np.ndarray:
+    """(trials, 3) matrix of (S, K, N) samples, deterministic per seed.
+
+    ``check``s its inputs with a floor of 2 trials, then draws consecutive
+    batches together, as many per ``sample_shapes`` call as keep the call
+    within _CALL_KEYS keys and _MAX_BATCH tries (one batch at least).
+    """
+    check(n, p, trials, 2)
+    g = _batch_size(n)
+    per_call = max(min(_CALL_KEYS // (g * n), _MAX_BATCH // g), 1)
+    batches = -(-trials // g)
     out = np.empty((trials, 3), dtype=np.int64)
-    for b, start in enumerate(range(0, trials, g)):
-        rows = sample_shapes(n, p, min(g, trials - start), trial_rng(seed, b))
-        out[start:start + g] = rows[:, :3]
+    for b0 in range(0, batches, per_call):
+        group = range(b0, min(b0 + per_call, batches))
+        counts = [min(g, trials - b * g) for b in group]
+        rows = sample_shapes(n, p, counts, [trial_rng(seed, b) for b in group])
+        out[b0 * g:b0 * g + len(rows)] = rows[:, :3]
     return out
 
 
@@ -144,8 +162,7 @@ class SampleSummary:
 def run(n: int, p: float, trials: int, seed: int = 0,
         raw_dump=None) -> SampleSummary:
     """Estimate joint moments of (S, K, N) from ``trials`` independent tries."""
-    if trials < 100:
-        raise ValueError("trials must be >= 100")
+    check(n, p, trials, 100)
     x = sample_matrix(n, p, trials, seed)
     if raw_dump is not None:
         for t, row in enumerate(x.tolist()):

@@ -13,11 +13,13 @@ Two routes give them, both as (count, 4) int64 rows of a batch of tries.
 ``sample_shapes`` draws the joint law directly, by binomial splitting of
 subtree sizes level by level, in O(size) time per trie and without storing
 keys.  A subtree of at most ``_SMALL`` keys draws its split from a Walker
-alias table with one uniform, a larger one from ``rng.binomial``.
+alias table with one uniform, a larger one from ``rng.binomial``.  One call
+splits the tries of several streams in one level loop, each stream drawing
+from its own Generator exactly what it would draw alone.
 ``key_shapes`` measures the tries of explicit key prefixes, such as those of
 ``sample_keys``, from the common-prefix lengths of their sorted keys; the
 tests check the sampler against it.  Draws are deterministic given their
-Generator; Monte-Carlo streams are derived from a master seed in
+Generators; Monte-Carlo streams are derived from a master seed in
 [0, 2**128) by counter addressing (see ``trial_rng``), one per batch.
 """
 
@@ -35,7 +37,7 @@ from .exact import _binom_weights, _canonical
 # by rng.binomial.  Row m of the flat alias tables holds columns 0..m and
 # starts at _ROW_START[m] = m(m+1)/2.
 _SMALL = 64
-_ROW_START = np.cumsum(np.arange(_SMALL + 1))
+_ROW_START = np.cumsum(np.arange(_SMALL + 1), dtype=np.int32)
 
 
 def _default_max_depth(n: int, p: float) -> int:
@@ -125,7 +127,8 @@ def _alias_tables(p: float) -> tuple[np.ndarray, np.ndarray]:
     """
     size = int(_ROW_START[-1]) + _SMALL + 1
     prob = np.ones(size)
-    alias = np.arange(size) - np.repeat(_ROW_START, np.arange(1, _SMALL + 2))
+    alias = (np.arange(size, dtype=np.int32)
+             - np.repeat(_ROW_START, np.arange(1, _SMALL + 2)))
     p = np.longdouble(p)
     for m in range(_SMALL + 1):
         start = int(_ROW_START[m])
@@ -158,79 +161,101 @@ def _alias_split(m: np.ndarray, u: np.ndarray, prob: np.ndarray,
     row = np.minimum(m, _SMALL)
     j = row + 1
     u *= j
+    at = row * j                          # row m starts at m(m+1)/2
     np.copyto(j, u, casting="unsafe")     # floor: u (m+1) >= 0
     np.minimum(j, row, out=j)
     u -= j
-    np.take(_ROW_START, row, out=row)
-    row += j
-    keep = u < prob.take(row)
-    np.take(alias, row, out=out)
+    at >>= 1
+    at += j
+    keep = u < prob.take(at)
+    np.take(alias, at, out=out)
     np.copyto(out, j, where=keep)
     return out
 
 
-def sample_shapes(n: int, p: float, count: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Sample ``count`` independent tries of n keys with the exact trie law.
+def sample_shapes(n: int, p: float, counts, rngs) -> np.ndarray:
+    """Sample independent tries of n keys with the exact trie law, stream s
+    drawing ``counts[s]`` tries from the Generator ``rngs[s]``.
 
-    Returns a (count, 4) int64 array with columns size, kpl, npl, height.
-    Level-synchronous splitting of every trie at once: each depth draws one
-    uniform per internal node of every trie, and a node of m <= _SMALL keys
-    gets its left-subtree size from the Walker alias table of
+    Returns a (sum(counts), 4) int64 array with columns size, kpl, npl,
+    height, in which stream s owns counts[s] consecutive rows.
+    Level-synchronous splitting of every trie of every stream at once: each
+    depth draws one uniform per internal node, and a node of m <= _SMALL
+    keys gets its left-subtree size from the Walker alias table of
     Binomial(m, p) (``_alias_tables``, cached per p; Devroye 1986, III.4).
-    Only nodes with more keys go through one vectorised ``rng.binomial``
-    call per depth.  Each trie's nodes stay contiguous, with the children of
-    a node interleaved left then right, so a trie's share of a level is
-    found from cumulative counts at the trie boundaries.  The path lengths
-    use K = sum over internal nodes of their key counts (a key's depth is
-    its number of internal ancestors), and a trie's height is the number of
-    depths at which it has an internal node.  Given the same Generator state
-    the result is bitwise reproducible.  A trie deeper than
+    Only nodes with more keys go through ``rng.binomial``.  A stream's
+    nodes stay contiguous, so at each depth stream s fills its slice of the
+    level's uniforms with one ``rngs[s].random`` call and then, while it
+    has nodes of more than _SMALL keys, makes one ``rngs[s].binomial`` call
+    over them; the alias split and the bookkeeping run once for the whole
+    level.  Each stream thus draws exactly what it draws alone, and the
+    rows of k streams equal those of k one-stream calls bitwise.  Each
+    trie's nodes stay contiguous too, with the children of a node
+    interleaved left then right, so a trie's share of a level is one slice
+    between trie boundaries.  The path lengths use K = sum over internal
+    nodes of their key counts (a key's depth is its number of internal
+    ancestors), and a trie's height is the number of depths at which it has
+    an internal node.  A trie deeper than
     ``_default_max_depth(n, p)``, an event of probability about e^-40,
     raises DepthGuardExceeded.
     """
     _canonical(p)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    if n <= 1 or count == 0:
-        return np.zeros((count, 4), dtype=np.int64)
+    if not 0 <= n < 2 ** 31:    # key counts are carried as int32
+        raise ValueError("n must be in [0, 2**31)")
+    if len(counts) != len(rngs):
+        raise ValueError("counts and rngs must have the same length")
+    if min(counts, default=0) < 0:
+        raise ValueError("counts must be >= 0")
+    # stream s owns tries first[s]:first[s+1]
+    first = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=first[1:])
+    total = int(first[-1])
+    out = np.zeros((total, 4), dtype=np.int64)
+    if n <= 1 or total == 0:
+        return out
     guard = _default_max_depth(n, p)
-    active = np.full(count, n, dtype=np.int64)   # keys under each internal node
-    # ends[t]: internal nodes of tries 0..t at this depth, so trie t owns
-    # active[ends[t-1]:ends[t]] and children[2*ends[t-1]:2*ends[t]].  Each
-    # depth adds its per-trie node counts (differences of ends) and the keys
-    # under tries 0..t into count-sized totals, so memory does not grow with
-    # the depth.
-    ends = np.arange(1, count + 1)
-    out = np.zeros((count, 4), dtype=np.int64)
+    active = np.full(total, n, dtype=np.int32)   # keys under internal nodes
+    # ends[t+1]: internal nodes of tries 0..t at this depth and ends[0] = 0,
+    # so trie t owns active[ends[t]:ends[t+1]].  Each depth adds its per-trie
+    # node and key counts into total-sized sums, so memory does not grow
+    # with the depth.
+    ends = np.arange(total + 1)
     size, kpl, npl, height = out.T
-    keys_cum = np.zeros(count, dtype=np.int64)   # keys under tries 0..t
     prob, alias = _alias_tables(p)
-    big = ends      # non-empty, so the first depth looks for big nodes
+    big = n > _SMALL    # subtree sizes only shrink with depth
     d = 0
     while active.size:
         if d > guard:
             raise DepthGuardExceeded(
                 f"splitting recursion past depth {guard} at n={n}, p={p}")
-        children = np.empty(2 * active.size, dtype=np.int64)
-        left = children[0::2]
-        _alias_split(active, rng.random(active.size), prob, alias, left)
-        if big.size:   # subtree sizes only shrink with depth
-            big = np.flatnonzero(active > _SMALL)
-            left[big] = rng.binomial(active.take(big), p)
+        cuts = ends.take(first).tolist()    # stream s owns cuts[s]:cuts[s+1]
+        u = np.empty(active.size)
+        for rng, a, b in zip(rngs, cuts, cuts[1:]):
+            if a < b:
+                rng.random(out=u[a:b])
+        children = np.empty(2 * active.size, dtype=np.int32)
+        left = _alias_split(active, u, prob, alias, children[0::2])
+        if big:
+            at = np.flatnonzero(active > _SMALL)
+            big = at.size > 0
+            cut = np.searchsorted(at, cuts).tolist()
+            for rng, a, b in zip(rngs, cut, cut[1:]):
+                if a < b:
+                    left[at[a:b]] = rng.binomial(active.take(at[a:b]), p)
         np.subtract(active, left, out=children[1::2])
-        keys = np.zeros(active.size + 1, dtype=np.int64)
-        np.cumsum(active, out=keys[1:])
-        keys_cum += keys.take(ends)
-        nodes = np.diff(ends, prepend=0)
+        nodes = ends[1:] - ends[:-1]
+        alive = nodes > 0
+        # keys under each trie's nodes; a trie without nodes sums a lone
+        # entry of the zero-padded level, so the mask zeroes it
+        keys = np.add.reduceat(np.append(active, 0), ends[:-1], dtype=np.int64)
+        keys *= alive
+        kpl += keys
         size += nodes
         npl += d * nodes
-        height += nodes > 0
+        height += alive
         kept = np.flatnonzero(children >= 2)
         active = children.take(kept)
         ends = np.searchsorted(kept, 2 * ends)
+        del u, children, left, kept     # freed before the next level's
         d += 1
-    kpl[:] = np.diff(keys_cum, prepend=0)
     return out

@@ -315,6 +315,7 @@ class TestConfigFile:
         code, out, err = run_cli(["--config", str(cfg)], capsys)
         assert code == 2
         assert out == "" and "usage: triemoments" in err
+        assert "name the command before --config" in err
 
 
 def test_console_entry_point():
@@ -362,6 +363,10 @@ BAD_INPUT = [  # (arguments, exit code)
     # the asymptotic covariance matrix exists only at p = 1/2
     (["whiten", "--p", "0.3", "--n", "64", "--trials", "300", "--source",
       "asymptotic"], 2),
+    # Monte-Carlo inputs refused before a 30,000-row (or 20,000-row) table
+    (["whiten", "--p", "0.5", "--n", "30000", "--trials", "1", "--source",
+      "exact"], 2),
+    (["compare", "--p", "0.3", "--n-grid", "20000", "--trials", "1"], 2),
     # an exact table past the 30,000-row cap, refused before it is built
     (["whiten", "--p", "0.5", "--n", "40000", "--trials", "10", "--source",
       "exact"], 2),
@@ -398,6 +403,25 @@ def test_bad_input_fails_fast(args, code):
         assert "seed must be in [0, 2**128)" in proc.stderr, proc.stderr
     if "40000" in args:
         assert "n must be <= 30000" in proc.stderr, proc.stderr
+    if "30000" in args or "20000" in args:
+        least = 2 if args[0] == "whiten" else 100
+        assert f"trials must be >= {least}" in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("args, least", [
+    (["whiten", "--p", "0.5", "--n", "30000", "--trials", "1", "--source",
+      "exact"], 2),
+    (["compare", "--p", "0.3", "--n-grid", "64,20000", "--trials", "99"], 100),
+])
+def test_monte_carlo_inputs_checked_before_table(monkeypatch, capsys, args,
+                                                 least):
+    def no_table(*a):
+        raise AssertionError("built an exact table")
+
+    monkeypatch.setattr(exact, "compute", no_table)
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert f"trials must be >= {least}" in err
 
 
 CONFIG_CASES = [

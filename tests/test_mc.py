@@ -243,9 +243,30 @@ def test_sample_matrix_chunk_invariance():
         g = _batch_size(n)
         x = sample_matrix(n, 0.4, 2 * g + 5, seed=3)
         for b, count in ((0, g), (1, g), (2, 5)):
-            want = sample_shapes(n, 0.4, count, trial_rng(3, b))[:, :3]
+            want = sample_shapes(n, 0.4, [count], [trial_rng(3, b)])[:, :3]
             assert np.array_equal(x[b * g:b * g + count], want), (n, b)
         assert np.array_equal(sample_matrix(n, 0.4, 2 * g, seed=3), x[:2 * g])
+
+
+@pytest.mark.parametrize("n, trials", [(16, 2100), (100, 1400), (1000, 300),
+                                       (10_000, 27), (40_000, 7)])
+def test_sample_matrix_call_bounds(monkeypatch, n, trials):
+    # consecutive batches share a sample_shapes call, within 2**17 keys and
+    # 1024 tries a call; each batch keeps its G tries (fewer in the last)
+    calls = []
+
+    def recording(n, p, counts, rngs):
+        calls.append(list(counts))
+        return sample_shapes(n, p, counts, rngs)
+
+    monkeypatch.setattr("triemoments.mc.sample_shapes", recording)
+    sample_matrix(n, 0.5, trials, seed=2)
+    g = _batch_size(n)
+    batches = [c for counts in calls for c in counts]
+    assert batches == [g] * (trials // g) + ([trials % g] if trials % g else [])
+    for counts in calls:
+        assert n * sum(counts) <= 2 ** 17 and sum(counts) <= 1024, counts
+    assert max(map(len, calls)) == (1 if n <= 100 else 2 if n < 40_000 else 3)
 
 
 def test_work_budget_refuses_before_drawing(monkeypatch):
@@ -275,7 +296,7 @@ def test_batch_height_estimate_tracks_sampler(n, p):
     # the level budget rests on this estimate: a batch's height is the
     # longest prefix shared by any of its g n(n-1)/2 key pairs
     g = _batch_size(n)
-    height = sample_shapes(n, p, g, trial_rng(5, 0))[:, 3].max()
+    height = sample_shapes(n, p, [g], [trial_rng(5, 0)])[:, 3].max()
     assert 0.7 < height / _batch_height(n, p, g) < 1.5
 
 
