@@ -21,8 +21,7 @@ from .errors import (DegenerateVariance, DepthGuardExceeded, GuardExceeded,
                      TruncationNotConverged, WorkBudgetExceeded)
 from .exact import MomentTable, PoissonModel, PoissonSeries, compute
 from .gammafn import cdigamma, cgamma
-from .mc import (JointHistogram, SampleSummary, WhitenReport, joint_histogram,
-                 run, whiten)
+from .mc import joint_histogram, run, whiten
 from .trie import key_shapes, sample_keys, sample_shapes, trial_rng
 
 __version__ = "0.1.0"
@@ -37,8 +36,7 @@ __all__ = [
     "TrieMomentsError", "TruncationNotConverged", "WorkBudgetExceeded",
     "MomentTable", "PoissonModel", "PoissonSeries", "compute",
     "cdigamma", "cgamma",
-    "JointHistogram", "SampleSummary", "WhitenReport", "joint_histogram",
-    "run", "whiten",
+    "joint_histogram", "run", "whiten",
     "key_shapes", "sample_keys", "sample_shapes", "trial_rng",
     "__version__",
 ]

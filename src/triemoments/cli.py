@@ -4,10 +4,11 @@ Commands: exact, asym, simulate, whiten, hist, compare.  This module alone
 writes output: each command builds its effective configuration (defaults
 included) and a result document of plain data, and ``_render`` writes
 both, as JSON {"config": ..., **document} or as CSV, a ``# config:`` line
-and the command's rows.  Outputs contain no timestamps, so they are
-byte-identical across runs with the same config.  They are staged to a
-temp file and atomically renamed; nothing partial is ever left at the
-target path.
+and the command's rows.  ``simulate --dump-raw`` also writes the sample
+matrix it summarises, as ``trial,S,K,N`` rows.  Outputs contain no
+timestamps, so they are byte-identical across runs with the same config.
+They are staged to a temp file and atomically renamed; nothing partial is
+ever left at the target path.
 
 Exit codes: 0 success, 2 usage/validation, 3 numeric failure
 (series not converged/positive-definiteness/guards/floating-point
@@ -18,7 +19,6 @@ overflow), a Monte-Carlo batch above the work budget or out of memory,
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
@@ -81,6 +81,8 @@ def _render(cfg: dict, doc: dict, fmt: str, csv_body=_flat_kv) -> str:
 
 
 def _parse_ratio(args) -> asym.RatioSpec | str | None:
+    if args.irrational and args.ratio is not None:
+        raise ValueError("--ratio and --irrational exclude each other")
     if args.irrational:
         return asym.IRRATIONAL
     if args.ratio is None:
@@ -156,25 +158,25 @@ def _cmd_asym(args) -> str:
 def _cmd_simulate(args) -> str:
     cfg = {"n": args.n, "p": args.p, "trials": args.trials, "seed": args.seed,
            "command": "simulate", "format": args.format}
-    raw = io.StringIO() if args.dump_raw else None
-    if raw is not None:
-        raw.write("trial,S,K,N\n")
-    summary = mc.run(args.n, args.p, args.trials, args.seed, raw_dump=raw)
-    if raw is not None:
-        _emit(raw.getvalue(), args.dump_raw)
-    return _render(cfg, summary.doc(), args.format)
+    mc.check(args.n, args.p, args.trials, args.seed, 100)
+    x = mc.sample_matrix(args.n, args.p, args.trials, args.seed)
+    if args.dump_raw:
+        _emit("trial,S,K,N\n" + "".join(
+            f"{t},{s},{k},{n}\n" for t, (s, k, n) in enumerate(x.tolist())),
+            args.dump_raw)
+    return _render(cfg, mc.summary(x), args.format)
 
 
 def _cmd_whiten(args) -> str:
     cfg = {"n": args.n, "p": args.p, "trials": args.trials, "seed": args.seed,
            "source": args.source, "command": "whiten", "format": args.format}
-    mc.check(args.n, args.p, args.trials, 2)
+    mc.check(args.n, args.p, args.trials, args.seed, 2)
     table = None
     if args.source == "exact":     # built before sampling, so the cap comes first
         table = _table(args.p, args.n, "standard", "n")
     report = mc.whiten(args.n, args.p, args.trials, args.seed,
                        source=args.source, table=table)
-    return _render(cfg, report.doc(), args.format)
+    return _render(cfg, report, args.format)
 
 
 def _histogram_rows(doc: dict) -> list[str]:
@@ -190,7 +192,7 @@ def _cmd_hist(args) -> str:
            "bins": args.bins, "command": "hist", "format": args.format}
     h = mc.joint_histogram(args.n, args.p, args.trials, args.seed,
                            bins=args.bins)
-    return _render(cfg, h.doc(), args.format, _histogram_rows)
+    return _render(cfg, h, args.format, _histogram_rows)
 
 
 def _comparison_rows(doc: dict) -> list[str]:
@@ -211,7 +213,7 @@ def _cmd_compare(args) -> str:
     model = asym.params(args.p)
     if args.trials:     # refuse Monte-Carlo inputs before building the table
         for n in grid:
-            mc.check(n, args.p, args.trials, 100)
+            mc.check(n, args.p, args.trials, args.seed, 100)
     table = _table(args.p, grid[-1], args.precision, "n-grid values")
     if model.symmetric:
         c1, c2, c3 = (asym.sym_coeffs(f) for f in ("g1", "g2", "g3"))
@@ -233,7 +235,8 @@ def _cmd_compare(args) -> str:
             row = [g20, abs(cover - g20), vkover, math.log(n)]
         rho_mc = float("nan")
         if args.trials:
-            rho_mc = mc.run(n, args.p, args.trials, args.seed).rho("S", "K")
+            x = mc.sample_matrix(n, args.p, args.trials, args.seed)
+            rho_mc = mc.summary(x)["rho"]["SK"]
         rows.append([n, cover] + row + [table.rho_SK(n), rho_mc])
     if model.symmetric:
         summary = {"g2_0": c2.value(0).real}
@@ -329,8 +332,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _apply_config_file(parser: argparse.ArgumentParser,
                        argv: list[str]) -> list[str]:
-    """Inline --config key=value file contents as flags (flags override).
-    The command must come first: a config file carries flags only."""
+    """Inline --config key=value file contents as flags (flags override,
+    but --ratio and --irrational exclude each other wherever they come
+    from).  The command must come first: a config file carries flags only."""
     if "--config" not in argv:
         return argv
     i = argv.index("--config")

@@ -10,30 +10,30 @@ batches share one ``trie.sample_shapes`` call, up to ``_CALL_KEYS`` = 2**17
 keys and ``_MAX_BATCH`` tries a call (one batch at least), so they share the
 sampler's level loop while each still draws from its own stream; this
 bounds a call's memory and changes no sample.  Before drawing, ``check``
-refuses n < 2, too few trials or a bad p with ValueError, and with
-WorkBudgetExceeded a run whose batches would hold a trie of more than
-``_MAX_KEYS`` keys or run for more than ``_MAX_LEVELS`` levels; the CLI
-calls it before building an exact table.
+refuses n < 2, too few trials, a bad p or a seed outside [0, 2**128) with
+ValueError, and with WorkBudgetExceeded a run whose batches would hold a
+trie of more than ``_MAX_KEYS`` keys or run for more than ``_MAX_LEVELS``
+levels; the CLI calls it before building an exact table.
 
 Every command reduces the full sample matrix (trials x 3 int64, 24 B per
-trial) once, through one centring helper: ``run`` for the mean, covariance,
-skewness and excess kurtosis, ``whiten`` and ``joint_histogram`` for their
-centring and standardisation, ``marginal_diagnostics`` for the whitened
-marginals.  Each result's ``doc()`` gives its payload as Python numbers;
-the CLI alone adds the configuration and writes it as JSON or CSV.
+trial) once, through one centring helper: ``summary`` (and ``run``, its
+value on a fresh sample) for the moments, ``whiten`` and
+``joint_histogram`` for their centring and standardisation,
+``marginal_diagnostics`` for the whitened marginals.  Each returns its
+result document, a dict of Python numbers; the CLI alone adds the
+configuration and writes it as JSON or CSV.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import asym, exact
 from .asym import SymMatrix2, invsqrt2
 from .errors import DegenerateVariance, WorkBudgetExceeded
-from .trie import sample_shapes, trial_rng
+from .trie import check_seed, sample_shapes, trial_rng
 
 _BATCH_KEYS = 2 ** 16
 _MAX_BATCH = 1024
@@ -63,11 +63,11 @@ def _batch_height(n: int, p: float, g: int) -> float:
     return math.log(g * n * (n - 1) / 2) / -math.log1p(-2.0 * p * (1.0 - p))
 
 
-def check(n: int, p: float, trials: int, least: int) -> None:
+def check(n: int, p: float, trials: int, seed: int, least: int) -> None:
     """Refuse a Monte-Carlo run before any work: n < 2, fewer than ``least``
-    trials or a bad p with ValueError, and with WorkBudgetExceeded a batch
-    with a trie of more than _MAX_KEYS keys or an expected height
-    (``_batch_height``) above _MAX_LEVELS levels."""
+    trials, a bad p or a bad seed (``trie.check_seed``) with ValueError, and
+    with WorkBudgetExceeded a batch with a trie of more than _MAX_KEYS keys
+    or an expected height (``_batch_height``) above _MAX_LEVELS levels."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if trials < least:
@@ -83,6 +83,7 @@ def check(n: int, p: float, trials: int, least: int) -> None:
             f"n={n}, p={p}: a batch of tries is expected to run for "
             f"{levels:.2g} levels, above the Monte-Carlo budget of "
             f"{_MAX_LEVELS} levels")
+    check_seed(seed)
 
 
 def sample_matrix(n: int, p: float, trials: int, seed: int) -> np.ndarray:
@@ -92,7 +93,7 @@ def sample_matrix(n: int, p: float, trials: int, seed: int) -> np.ndarray:
     batches together, as many per ``sample_shapes`` call as keep the call
     within _CALL_KEYS keys and _MAX_BATCH tries (one batch at least).
     """
-    check(n, p, trials, 2)
+    check(n, p, trials, seed, 2)
     g = _batch_size(n)
     per_call = max(min(_CALL_KEYS // (g * n), _MAX_BATCH // g), 1)
     batches = -(-trials // g)
@@ -128,65 +129,44 @@ def _centre(x: np.ndarray):
         return mean, y, m2, m3 / var ** 1.5, m4 / var ** 2 - 3.0
 
 
+def _rho(c: np.ndarray, i: int, j: int) -> float:
+    """Correlation of columns i and j from their (co)moment matrix c."""
+    return float(c[i, j] / math.sqrt(c[i, i] * c[j, j]))
+
+
 # ---------------------------------------------------------------------------
 # summaries
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SampleSummary:
-    mean: np.ndarray          # (S, K, N)
-    cov: np.ndarray           # (3,3) unbiased
-    skewness: np.ndarray      # standardized, per coordinate
-    ex_kurtosis: np.ndarray
-    stderr_mean: np.ndarray
-
-    _IDX = {"S": 0, "K": 1, "N": 2}
-
-    def rho(self, a: str, b: str) -> float:
-        i, j = self._IDX[a], self._IDX[b]
-        return float(self.cov[i, j] / math.sqrt(self.cov[i, i] * self.cov[j, j]))
-
-    def doc(self) -> dict:
-        """The summary as Python numbers, for the result document."""
-        return {
-            "mean": dict(zip("SKN", self.mean.tolist())),
-            "cov": self.cov.tolist(),
-            "rho": {"SK": self.rho("S", "K"), "SN": self.rho("S", "N"),
-                    "KN": self.rho("K", "N")},
-            "skewness": self.skewness.tolist(),
-            "ex_kurtosis": self.ex_kurtosis.tolist(),
-            "stderr_mean": self.stderr_mean.tolist(),
-        }
-
-
-def run(n: int, p: float, trials: int, seed: int = 0,
-        raw_dump=None) -> SampleSummary:
-    """Estimate joint moments of (S, K, N) from ``trials`` independent tries."""
-    check(n, p, trials, 100)
-    x = sample_matrix(n, p, trials, seed)
-    if raw_dump is not None:
-        for t, row in enumerate(x.tolist()):
-            raw_dump.write(f"{t},{row[0]},{row[1]},{row[2]}\n")
+def summary(x: np.ndarray) -> dict:
+    """The moment document of a (trials, 3) sample of (S, K, N): means,
+    unbiased covariance, correlations, per-coordinate skewness and excess
+    kurtosis, and standard errors of the means, as Python numbers."""
+    trials = len(x)
     mean, _, m2, skew, kurt = _centre(x)
     cov = m2 / (trials - 1)
-    return SampleSummary(
-        mean=mean, cov=cov, skewness=skew, ex_kurtosis=kurt,
-        stderr_mean=np.sqrt(np.diag(cov) / trials))
+    return {"mean": dict(zip("SKN", mean.tolist())), "cov": cov.tolist(),
+            "rho": {"SK": _rho(cov, 0, 1), "SN": _rho(cov, 0, 2),
+                    "KN": _rho(cov, 1, 2)},
+            "skewness": skew.tolist(), "ex_kurtosis": kurt.tolist(),
+            "stderr_mean": np.sqrt(np.diag(cov) / trials).tolist()}
+
+
+def run(n: int, p: float, trials: int, seed: int = 0) -> dict:
+    """``summary`` of ``trials`` independent tries (at least 100)."""
+    check(n, p, trials, seed, 100)
+    return summary(sample_matrix(n, p, trials, seed))
 
 
 # ---------------------------------------------------------------------------
 # normality / whitening diagnostics
 # ---------------------------------------------------------------------------
 
-def _phi(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.array([math.erf(v / _SQRT2) for v in x]))
-
-
 def ks_normal(values: np.ndarray) -> float:
     """Kolmogorov-Smirnov distance of a sample to the standard normal."""
     xs = np.sort(np.asarray(values, dtype=np.float64))
     m = len(xs)
-    u = _phi(xs)
+    u = 0.5 * (1.0 + np.array([math.erf(v / _SQRT2) for v in xs]))
     i = np.arange(1, m + 1)
     return float(max((i / m - u).max(), (u - (i - 1) / m).max()))
 
@@ -203,33 +183,10 @@ def marginal_diagnostics(values: np.ndarray):
     return float(skew[0]), float(kurt[0]), ks_normal(y[0] / sd)
 
 
-@dataclass(frozen=True)
-class WhitenReport:
-    sigma: SymMatrix2           # the covariance matrix that was inverted
-    center: tuple               # (E S, E K) used for centering
-    whitened_cov: np.ndarray    # (2,2)
-    max_offdiag: float
-    skewness: tuple             # whitened marginals
-    ex_kurtosis: tuple
-    edf_distance: tuple
-
-    def doc(self) -> dict:
-        """The report as Python numbers, for the result document."""
-        a, b, c = (float(v) for v in (self.sigma.a, self.sigma.b, self.sigma.c))
-        return {
-            "sigma": [[a, b], [b, c]],
-            "center": list(map(float, self.center)),
-            "whitened_cov": self.whitened_cov.tolist(),
-            "max_offdiag": self.max_offdiag,
-            "skewness": list(self.skewness),
-            "ex_kurtosis": list(self.ex_kurtosis),
-            "edf_distance": list(self.edf_distance),
-        }
-
-
 def whiten(n: int, p: float, trials: int, seed: int = 0, source: str = "exact",
-           table: exact.MomentTable | None = None) -> WhitenReport:
-    """Whiten centered (S, K) by the inverse square root of a covariance matrix.
+           table: exact.MomentTable | None = None) -> dict:
+    """Whiten centered (S, K) by the inverse square root of a covariance
+    matrix, and diagnose the whitened covariance and marginals.
 
     source="exact" uses the finite-n matrix from the moment table (computed
     on demand when not supplied) and exact means for centering;
@@ -260,36 +217,21 @@ def whiten(n: int, p: float, trials: int, seed: int = 0, source: str = "exact",
     y = w.apply(x - np.array(center))
     wcov = (y.T @ y) / (trials - 1)
     skew, kurt, edf = zip(*(marginal_diagnostics(col) for col in y.T))
-    return WhitenReport(
-        sigma=sigma, center=center, whitened_cov=wcov,
-        max_offdiag=float(abs(wcov[0, 1])), skewness=skew, ex_kurtosis=kurt,
-        edf_distance=edf)
+    a, b, c = (float(v) for v in (sigma.a, sigma.b, sigma.c))
+    return {"sigma": [[a, b], [b, c]], "center": list(map(float, center)),
+            "whitened_cov": wcov.tolist(),
+            "max_offdiag": float(abs(wcov[0, 1])), "skewness": list(skew),
+            "ex_kurtosis": list(kurt), "edf_distance": list(edf)}
 
 
 # ---------------------------------------------------------------------------
 # joint histogram
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class JointHistogram:
-    counts: np.ndarray      # (bins, bins), row-major over standardized (S, K)
-    s_edges: np.ndarray
-    k_edges: np.ndarray
-    rho: float
-
-    def doc(self) -> dict:
-        """The histogram as Python numbers, for the result document."""
-        return {
-            "rho": self.rho,
-            "s_edges": self.s_edges.tolist(),
-            "k_edges": self.k_edges.tolist(),
-            "counts": self.counts.tolist(),
-        }
-
-
 def joint_histogram(n: int, p: float, trials: int, seed: int = 0,
-                    bins: int = 50) -> JointHistogram:
-    """2-D histogram of per-coordinate standardized (S, K)."""
+                    bins: int = 50) -> dict:
+    """2-D histogram of per-coordinate standardized (S, K): their
+    correlation, the bin edges and the (bins, bins) counts, row-major."""
     if bins < 10:
         raise ValueError("bins must be >= 10")
     if bins > trials:
@@ -300,6 +242,6 @@ def joint_histogram(n: int, p: float, trials: int, seed: int = 0,
         raise DegenerateVariance("constant marginal; cannot standardize")
     z = y / sd[:, None]
     counts, s_edges, k_edges = np.histogram2d(z[0], z[1], bins=bins)
-    rho = float(m2[0, 1] / math.sqrt(m2[0, 0] * m2[1, 1]))
-    return JointHistogram(counts=counts.astype(np.int64),
-                          s_edges=s_edges, k_edges=k_edges, rho=rho)
+    return {"rho": _rho(m2, 0, 1), "s_edges": s_edges.tolist(),
+            "k_edges": k_edges.tolist(),
+            "counts": counts.astype(np.int64).tolist()}

@@ -48,6 +48,12 @@ def _default_max_depth(n: int, p: float) -> int:
     return 64 + int(math.ceil((2.0 * math.log(n + 2.0) + 40.0) / -math.log(c)))
 
 
+def check_seed(seed: int) -> None:
+    """Raise ValueError for a seed outside [0, 2**128), the Philox key range."""
+    if not 0 <= seed < 1 << 128:
+        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+
+
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent stream ``trial``: Philox keyed by seed, counter block trial.
 
@@ -57,8 +63,7 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     stream numbers outside [0, 2**128) raise ValueError instead of wrapping,
     so no two seeds share a stream.
     """
-    if not 0 <= seed < 1 << 128:
-        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+    check_seed(seed)
     return np.random.Generator(np.random.Philox(key=seed, counter=trial << 128))
 
 

@@ -115,9 +115,9 @@ def test_criterion_09_whitening(table_03, table_05):
     msgs = []
     for t in (table_03, table_05):
         r = whiten(10_000, t.p, 10_000, seed=1, source="exact", table=t)
-        dev = float(np.abs(r.whitened_cov - np.eye(2)).max())
-        sk = max(abs(s) for s in r.skewness)
-        ku = max(abs(k) for k in r.ex_kurtosis)
+        dev = float(np.abs(np.array(r["whitened_cov"]) - np.eye(2)).max())
+        sk = max(abs(s) for s in r["skewness"])
+        ku = max(abs(k) for k in r["ex_kurtosis"])
         ok = ok and dev < 0.05 and sk < 0.1 and ku < 0.2
         msgs.append(f"p={t.p}: |cov-I|={dev:.3f} |skew|={sk:.3f} "
                     f"|kurt|={ku:.3f}")

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from triemoments import exact
+from triemoments import exact, mc
 from triemoments.cli import main
 
 
@@ -178,6 +178,21 @@ class TestAsym:
         code, _, _ = run_cli(["asym", "--p", "0.5", "--ratio", "3/1"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("config, flags", [
+        ("", ["--ratio", "1/1", "--irrational"]),
+        ("irrational=true\n", ["--ratio", "1/1"]),
+        ("ratio=1/1\n", ["--irrational"]),
+    ])
+    def test_ratio_and_irrational_exclude_each_other(self, tmp_path, capsys,
+                                                     config, flags):
+        # a supplied ratio and a forced irrational reading contradict each
+        # other, on the command line or between config file and flags
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("p=0.5\n" + config)
+        code, out, err = run_cli(["asym", "--config", str(cfg)] + flags, capsys)
+        assert code == 2 and out == ""
+        assert "--ratio and --irrational exclude each other" in err
+
 
 class TestSimulate:
     def test_deterministic_json(self, capsys):
@@ -199,6 +214,34 @@ class TestSimulate:
         lines = raw.read_text().strip().split("\n")
         assert lines[0] == "trial,S,K,N"
         assert len(lines) == 151
+
+    def test_raw_dump_rows_match_sample_matrix(self, tmp_path, capsys):
+        # the dumped rows are the sample matrix's trials, numbered in order,
+        # and the printed summary is that of the same rows
+        raw = tmp_path / "raw.csv"
+        code, out, _ = run_cli(["simulate", "--p", "0.4", "--n", "32",
+                                "--trials", "2100", "--seed", "3",
+                                "--dump-raw", str(raw)], capsys)
+        assert code == 0
+        rows = np.array([[int(v) for v in ln.split(",")]
+                         for ln in raw.read_text().splitlines()[1:]])
+        x = mc.sample_matrix(32, 0.4, 2100, seed=3)
+        assert np.array_equal(rows[:, 0], np.arange(2100))
+        assert np.array_equal(rows[:, 1:], x)
+        doc = json.loads(out)
+        del doc["config"]
+        assert doc == mc.summary(x)
+
+    def test_raw_dump(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        code, _, _ = run_cli(["simulate", "--p", "0.5", "--n", "16",
+                              "--trials", "200", "--seed", "1",
+                              "--dump-raw", str(raw)], capsys)
+        assert code == 0
+        lines = raw.read_text().strip().split("\n")[1:]
+        assert len(lines) == 200
+        first = lines[0].split(",")
+        assert first[0] == "0" and len(first) == 4
 
     def test_threads_flag_rejected(self, capsys):
         code, _, err = run_cli(["simulate", "--p", "0.5", "--n", "8",
@@ -376,6 +419,9 @@ BAD_INPUT = [  # (arguments, exit code)
       "-1"], 2),
     (["simulate", "--p", "0.5", "--n", "16", "--trials", "100", "--seed",
       str(2 ** 128 + 1)], 2),
+    # a bad seed is refused before a 20,000-row exact table
+    (["whiten", "--p", "0.5", "--n", "20000", "--trials", "10", "--seed",
+      "-1", "--source", "exact"], 2),
 ]
 
 
@@ -401,9 +447,9 @@ def test_bad_input_fails_fast(args, code):
         assert "bins must be <= trials" in proc.stderr, proc.stderr
     if "--seed" in args:
         assert "seed must be in [0, 2**128)" in proc.stderr, proc.stderr
-    if "40000" in args:
+    elif "40000" in args:
         assert "n must be <= 30000" in proc.stderr, proc.stderr
-    if "30000" in args or "20000" in args:
+    elif "30000" in args or "20000" in args:
         least = 2 if args[0] == "whiten" else 100
         assert f"trials must be >= {least}" in proc.stderr, proc.stderr
 
@@ -422,6 +468,21 @@ def test_monte_carlo_inputs_checked_before_table(monkeypatch, capsys, args,
     code, out, err = run_cli(args, capsys)
     assert code == 2 and out == ""
     assert f"trials must be >= {least}" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["whiten", "--p", "0.5", "--n", "20000", "--trials", "10", "--source",
+     "exact"],
+    ["compare", "--p", "0.3", "--n-grid", "64,20000", "--trials", "100"],
+])
+def test_bad_seed_refused_before_table(monkeypatch, capsys, args):
+    def no_table(*a):
+        raise AssertionError("built an exact table")
+
+    monkeypatch.setattr(exact, "compute", no_table)
+    code, out, err = run_cli(args + ["--seed", "-1"], capsys)
+    assert code == 2 and out == ""
+    assert "seed must be in [0, 2**128), got -1" in err
 
 
 CONFIG_CASES = [

@@ -1,4 +1,4 @@
-import io
+import json
 import math
 from fractions import Fraction
 
@@ -11,7 +11,7 @@ from triemoments import (DegenerateVariance, NotPositiveDefinite,
 from triemoments.exact import compute as exact_compute
 from triemoments.mc import (_MAX_KEYS, _MAX_LEVELS, _batch_height,
                             _batch_size, ks_normal,
-                            marginal_diagnostics, sample_matrix)
+                            marginal_diagnostics, sample_matrix, summary)
 from triemoments.trie import sample_shapes, trial_rng
 
 
@@ -56,43 +56,31 @@ def test_run_moments_match_exact_rationals(n, p, trials, seed):
     # run's summary against exact rational moments of the same draws: the
     # one centring pass gives correctly rounded means, covariances within
     # about 2 units of roundoff and shape statistics to 1e-14
-    raw = io.StringIO()
-    s = run(n, p, trials, seed, raw_dump=raw)
+    s = run(n, p, trials, seed)
     x = sample_matrix(n, p, trials, seed)
-    rows = np.array([[int(v) for v in ln.split(",")]
-                     for ln in raw.getvalue().splitlines()])
-    assert np.array_equal(rows[:, 1:], x)
     mean, cov, skew, kurt = _exact_moments(x)
     for i in range(3):
-        assert abs(Fraction(s.mean[i]) - mean[i]) <= np.spacing(float(mean[i]))
+        got = s["mean"]["SKN"[i]]
+        assert abs(Fraction(got) - mean[i]) <= np.spacing(float(mean[i]))
         for j in range(3):
-            assert abs(Fraction(s.cov[i, j]) - cov[i][j]) <= 4.5e-16 * abs(cov[i][j])
-        assert abs(s.skewness[i] - skew[i]) <= 1e-14 * max(1.0, abs(skew[i]))
+            assert abs(Fraction(s["cov"][i][j]) - cov[i][j]) <= 4.5e-16 * abs(cov[i][j])
+        assert abs(s["skewness"][i] - skew[i]) <= 1e-14 * max(1.0, abs(skew[i]))
         k = float(kurt[i])
-        assert abs(Fraction(s.ex_kurtosis[i]) - kurt[i]) <= 1e-14 * max(1.0, abs(k))
+        assert abs(Fraction(s["ex_kurtosis"][i]) - kurt[i]) <= 1e-14 * max(1.0, abs(k))
 
 
 class TestRun:
     def test_seed_determinism(self):
         a = run(64, 0.3, 500, seed=5)
         b = run(64, 0.3, 500, seed=5)
-        assert np.array_equal(a.mean, b.mean)
-        assert np.array_equal(a.cov, b.cov)
-
-    def test_raw_dump_rows_match_sample_matrix(self):
-        # the dumped rows are the sample matrix's trials, numbered in order
-        raw = io.StringIO()
-        run(32, 0.4, 2100, seed=3, raw_dump=raw)
-        rows = np.array([[int(v) for v in ln.split(",")]
-                         for ln in raw.getvalue().splitlines()])
-        assert np.array_equal(rows[:, 0], np.arange(2100))
-        assert np.array_equal(rows[:, 1:], sample_matrix(32, 0.4, 2100, seed=3))
+        assert a["mean"] == b["mean"]
+        assert a["cov"] == b["cov"]
 
     def test_two_key_mean(self):
         s = run(2, 0.5, 20_000, seed=11)
         se = math.sqrt(two_key_oracle(0.5)["VarS"] / 20_000)
-        assert_close(s.mean[0], 2.0, atol=3 * se, msg="mean S_2")
-        assert s.rho("S", "K") == pytest.approx(1.0, abs=1e-12)
+        assert_close(s["mean"]["S"], 2.0, atol=3 * se, msg="mean S_2")
+        assert s["rho"]["SK"] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("p", [0.3, 0.5])
     @pytest.mark.parametrize("n", [10, 100, 1000])
@@ -103,7 +91,7 @@ class TestRun:
         for j, (mean_fn, var_fn) in enumerate(
                 [(t.mean_S, t.var_S), (t.mean_K, t.var_K), (t.mean_N, t.var_N)]):
             se = math.sqrt(var_fn(n) / trials)
-            assert_close(s.mean[j], mean_fn(n), atol=4 * se,
+            assert_close(s["mean"]["SKN"[j]], mean_fn(n), atol=4 * se,
                          msg=f"p={p} n={n} coordinate {j}")
 
     def test_validation(self):
@@ -112,23 +100,15 @@ class TestRun:
         with pytest.raises(ValueError):
             run(10, 0.5, 50)
 
-    def test_raw_dump(self, tmp_path):
-        import io
-        buf = io.StringIO()
-        run(16, 0.5, 200, seed=1, raw_dump=buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert len(lines) == 200
-        first = lines[0].split(",")
-        assert first[0] == "0" and len(first) == 4
-
     def test_json(self):
+        # run returns the document itself: plain data that JSON can write,
+        # equal to summary of the same sample
         s = run(16, 0.5, 200, seed=1)
-        d = s.doc()
-        assert "config" not in d
-        assert "rho" in d and "SK" in d["rho"]
-        assert d["rho"]["SK"] == s.rho("S", "K")
-        assert d["cov"] == s.cov.tolist()
-        assert_plain(d)
+        assert "config" not in s
+        assert "rho" in s and "SK" in s["rho"]
+        assert s == summary(sample_matrix(16, 0.5, 200, seed=1))
+        assert_plain(s)
+        json.dumps(s)
 
 
 class TestDiagnostics:
@@ -149,17 +129,17 @@ class TestWhiten:
     def test_exact_source_identity(self):
         t = table(0.3, 2048)
         r = whiten(2048, 0.3, 4000, seed=13, source="exact", table=t)
-        assert np.abs(r.whitened_cov - np.eye(2)).max() < 0.08
-        assert r.max_offdiag < 0.08
+        assert np.abs(np.array(r["whitened_cov"]) - np.eye(2)).max() < 0.08
+        assert r["max_offdiag"] < 0.08
 
     def test_sample_source(self):
         r = whiten(512, 0.3, 4000, seed=13, source="sample")
         # whitening by the sample covariance makes the result exactly white
-        assert np.abs(r.whitened_cov - np.eye(2)).max() < 5e-3
+        assert np.abs(np.array(r["whitened_cov"]) - np.eye(2)).max() < 5e-3
 
     def test_asymptotic_source_half(self):
         r = whiten(4096, 0.5, 4000, seed=13, source="asymptotic")
-        assert np.abs(r.whitened_cov - np.eye(2)).max() < 0.08
+        assert np.abs(np.array(r["whitened_cov"]) - np.eye(2)).max() < 0.08
 
     def test_whitening_inverts_dependence(self):
         # raw correlation sits near 0.927 at p = 1/2; after whitening the
@@ -167,8 +147,8 @@ class TestWhiten:
         t = table(0.5, 4096)
         raw = run(4096, 0.5, 4000, seed=19)
         r = whiten(4096, 0.5, 4000, seed=19, source="exact", table=t)
-        assert 0.9 < raw.rho("S", "K") < 0.95
-        assert r.max_offdiag < 0.05
+        assert 0.9 < raw["rho"]["SK"] < 0.95
+        assert r["max_offdiag"] < 0.05
 
     def test_degenerate_two_keys(self):
         # K = 2S almost surely at n = 2: the sample covariance is singular
@@ -187,34 +167,33 @@ class TestWhiten:
             whiten(64, 0.5, 500, seed=1, source="magic")
 
     def test_doc(self):
-        r = whiten(64, 0.3, 300, seed=1, source="sample")
-        d = r.doc()
-        assert d["sigma"] == [[r.sigma.a, r.sigma.b], [r.sigma.b, r.sigma.c]]
-        assert d["whitened_cov"] == r.whitened_cov.tolist()
-        assert d["max_offdiag"] == r.max_offdiag
-        assert_plain(d)
+        # every source returns plain data that JSON can write
+        for p, source in ((0.3, "exact"), (0.3, "sample"), (0.5, "asymptotic")):
+            r = whiten(64, p, 300, seed=1, source=source)
+            assert_plain(r)
+            json.dumps(r)
 
 
 class TestHistogram:
     def test_counts_sum(self):
         h = joint_histogram(256, 0.5, 2000, seed=2, bins=16)
-        assert h.counts.sum() == 2000
-        assert h.counts.shape == (16, 16)
+        assert np.sum(h["counts"]) == 2000
+        assert np.shape(h["counts"]) == (16, 16)
 
     def test_dependence_contrast(self):
         # rho decays only like 1/sqrt(log n) off p = 1/2, so at desk scale
         # the observable fact is the contrast, not near-zero correlation
         strong = joint_histogram(4096, 0.5, 3000, seed=2, bins=16)
         weak = joint_histogram(4096, 0.1, 3000, seed=2, bins=16)
-        assert strong.rho > 0.9
-        assert weak.rho < 0.7
-        assert strong.rho - weak.rho > 0.2
+        assert strong["rho"] > 0.9
+        assert weak["rho"] < 0.7
+        assert strong["rho"] - weak["rho"] > 0.2
 
     def test_p_symmetry_statistics(self):
         a = joint_histogram(512, 0.3, 4000, seed=8, bins=12)
         b = joint_histogram(512, 0.7, 4000, seed=8, bins=12)
         # same law: the standardized-correlation estimates agree to MC noise
-        assert abs(a.rho - b.rho) < 4 * (1 - a.rho ** 2) / math.sqrt(4000) + 0.02
+        assert abs(a["rho"] - b["rho"]) < 4 * (1 - a["rho"] ** 2) / math.sqrt(4000) + 0.02
 
     def test_bins_floor(self):
         with pytest.raises(ValueError):
@@ -224,15 +203,13 @@ class TestHistogram:
         # more bins than trials is refused before anything is drawn
         with pytest.raises(ValueError, match="bins must be <= trials"):
             joint_histogram(64, 0.5, 500, seed=1, bins=501)
-        assert joint_histogram(64, 0.5, 500, seed=1, bins=500).counts.sum() == 500
+        assert np.sum(joint_histogram(64, 0.5, 500, seed=1, bins=500)["counts"]) == 500
 
     def test_doc(self):
+        # the histogram is plain data that JSON can write
         h = joint_histogram(64, 0.5, 300, seed=1, bins=10)
-        d = h.doc()
-        assert d["counts"] == h.counts.tolist()
-        assert d["s_edges"] == h.s_edges.tolist()
-        assert d["rho"] == h.rho
-        assert_plain(d)
+        assert_plain(h)
+        json.dumps(h)
 
 
 def test_sample_matrix_chunk_invariance():
@@ -325,7 +302,7 @@ def test_standard_error_honesty():
     reps = 50
     for seed in range(reps):
         s = run(64, 0.5, 1000, seed=1_000_000 + seed)
-        hits += abs(s.mean[0] - truth) <= s.stderr_mean[0]
+        hits += abs(s["mean"]["S"] - truth) <= s["stderr_mean"][0]
     # binomial(50, 0.68): 3 sigma is about +-10
     assert 24 <= hits <= 44, f"{hits}/50 within 1 SE"
 
@@ -333,6 +310,6 @@ def test_standard_error_honesty():
 @pytest.mark.slow
 def test_mc_correlation_dichotomy_decay():
     # off p = 1/2 the correlation keeps sliding down as n grows
-    lo = run(10_000, 0.2, 8000, seed=31).rho("S", "K")
-    hi = run(100_000, 0.2, 8000, seed=31).rho("S", "K")
+    lo = run(10_000, 0.2, 8000, seed=31)["rho"]["SK"]
+    hi = run(100_000, 0.2, 8000, seed=31)["rho"]["SK"]
     assert hi < lo - 0.015
