@@ -12,8 +12,8 @@ ever left at the target path.
 
 Exit codes: 0 success, 2 usage/validation, 3 numeric failure
 (series not converged/positive-definiteness/guards/floating-point
-overflow), a Monte-Carlo batch above the work budget or out of memory,
-4 I/O failure.
+overflow), a Monte-Carlo batch or an exact solve above its work budget or
+out of memory, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -31,6 +31,10 @@ from . import asym, exact, mc
 from .errors import RatioSpecMismatch, TrieMomentsError, WorkBudgetExceeded
 
 _MAX_NMAX = 30_000
+# asym: at p = 1/2 every g_k is exactly 0.0 past k = 52, and --emit-F
+# evaluates 3 (kmax + 1) terms at each of --points points
+_MAX_KMAX = 100
+_MAX_POINTS = 10_000
 
 
 def _cfg_line(cfg: dict) -> str:
@@ -94,14 +98,24 @@ def _parse_ratio(args) -> asym.RatioSpec | str | None:
         raise ValueError(f"--ratio must look like r/l: {e}")
 
 
-def _table(p: float, n_max: int, precision: str, name: str) -> exact.MomentTable:
-    """The exact table to n_max; ``name`` is the flag n_max came from.  Its
-    cost grows like n_max^1.5, so past _MAX_NMAX it is refused (exit 2)."""
+def _rows(text: str, name: str) -> list[int]:
+    """The sorted distinct n of a comma-separated list, each >= 2."""
+    rows = sorted({int(v) for v in text.split(",")})
+    if rows[0] < 2:
+        raise ValueError(f"{name} values must be >= 2")
+    return rows
+
+
+def _table(p: float, n_max: int, precision: str, name: str,
+           at=None) -> exact.MomentTable:
+    """The exact table to n_max, or its rows ``at`` alone; ``name`` is the
+    flag n_max came from.  A full table costs about n_max^1.5, so past
+    _MAX_NMAX it is refused (exit 2), with ``at`` or without."""
     if n_max < 2:
         raise ValueError(f"{name} must be >= 2")
     if n_max > _MAX_NMAX:
         raise ValueError(f"{name} must be <= {_MAX_NMAX} for an exact table")
-    return exact.compute(p, n_max, precision)
+    return exact.compute(p, n_max, precision, at=at)
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +123,14 @@ def _table(p: float, n_max: int, precision: str, name: str) -> exact.MomentTable
 # ---------------------------------------------------------------------------
 
 def _cmd_exact(args) -> str:
-    table = _table(args.p, args.nmax, args.precision, "nmax")
-    cfg = {"p": args.p, "n_max": args.nmax, "precision": args.precision,
-           "command": "exact", "format": args.format}
+    if args.at is None:
+        table = _table(args.p, args.nmax, args.precision, "nmax")
+        cfg = {"p": args.p, "n_max": args.nmax}
+    else:   # no row cap: exact.compute refuses a cone above its budget
+        at = _rows(args.at, "at")
+        table = exact.compute(args.p, at[-1], args.precision, at=at)
+        cfg = {"p": args.p, "at": args.at}
+    cfg.update(precision=args.precision, command="exact", format=args.format)
     cols = dict(zip(table.COLUMNS, table.columns()))
     return _render(cfg, {"columns": cols}, args.format, lambda doc: (
         [",".join(cols)]
@@ -127,6 +146,10 @@ def _coefficient_rows(doc: dict) -> list[str]:
 
 
 def _cmd_asym(args) -> str:
+    if args.kmax > _MAX_KMAX:
+        raise ValueError(f"--kmax must be <= {_MAX_KMAX}")
+    if args.points > _MAX_POINTS:
+        raise ValueError(f"--points must be <= {_MAX_POINTS}")
     model = asym.params(args.p, _parse_ratio(args))
     cfg = {"command": "asym", "p": args.p, "kmax": args.kmax,
            "points": args.points, "emit_F": args.emit_F,
@@ -173,7 +196,7 @@ def _cmd_whiten(args) -> str:
     mc.check(args.n, args.p, args.trials, args.seed, 2)
     table = None
     if args.source == "exact":     # built before sampling, so the cap comes first
-        table = _table(args.p, args.n, "standard", "n")
+        table = _table(args.p, args.n, "standard", "n", at=[args.n])
     report = mc.whiten(args.n, args.p, args.trials, args.seed,
                        source=args.source, table=table)
     return _render(cfg, report, args.format)
@@ -204,9 +227,7 @@ def _comparison_rows(doc: dict) -> list[str]:
 
 
 def _cmd_compare(args) -> str:
-    grid = sorted({int(v) for v in args.n_grid.split(",")})
-    if grid[0] < 2:
-        raise ValueError("n-grid values must be >= 2")
+    grid = _rows(args.n_grid, "n-grid")
     cfg = {"command": "compare", "p": args.p, "n_grid": args.n_grid,
            "trials": args.trials, "seed": args.seed,
            "precision": args.precision, "format": args.format}
@@ -214,7 +235,7 @@ def _cmd_compare(args) -> str:
     if args.trials:     # refuse Monte-Carlo inputs before building the table
         for n in grid:
             mc.check(n, args.p, args.trials, args.seed, 100)
-    table = _table(args.p, grid[-1], args.precision, "n-grid values")
+    table = _table(args.p, grid[-1], args.precision, "n-grid values", at=grid)
     if model.symmetric:
         c1, c2, c3 = (asym.sym_coeffs(f) for f in ("g1", "g2", "g3"))
         header = ("n,covSK_over_n,fluct_g2,diff_g2,varS_over_n,fluct_g1,"
@@ -282,7 +303,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("exact", help="exact moment table as CSV/JSON")
     common(sp)
-    sp.add_argument("--nmax", type=int, required=True)
+    which = sp.add_mutually_exclusive_group(required=True)
+    which.add_argument("--nmax", type=int, help="all rows n <= NMAX")
+    which.add_argument("--at", default=None,
+                      help="only the rows N[,N...], over their dependency cone")
     sp.add_argument("--precision", choices=("standard", "extended"),
                     default="standard")
     sp.set_defaults(fn=_cmd_exact)

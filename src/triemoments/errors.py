@@ -19,7 +19,7 @@ class DepthGuardExceeded(TrieMomentsError):
 
 
 class WorkBudgetExceeded(TrieMomentsError):
-    """A Monte-Carlo run's estimated work exceeds the sampler's budget."""
+    """A Monte-Carlo run or an exact solve would exceed its work budget."""
 
 
 class GuardExceeded(TrieMomentsError):

@@ -1,4 +1,4 @@
-"""Exact joint moments of (size, KPL, NPL) for random tries, all n <= n_max.
+"""Exact joint moments of (size, KPL, NPL) for random tries, at n <= n_max.
 
 The three shape parameters satisfy, for n >= 2, distributional recurrences
 of split type: the left subtree receives Binom(n, p) keys, the right the
@@ -34,6 +34,24 @@ Each n costs the weights over its window and two reductions: the linear
 fold sum_k w(k) (M(k) + M(n-k)) of the (8, width) block of earlier
 moments, and the 3x3 weighted Gram matrix of the deviations.  The
 self-terms k = 0 and k = n count only when they fall inside the window.
+The weight ratios (n - k) p / ((k + 1) q) read their factors i p and i q
+from two tables built once per solve (``_ratio_tables``).
+
+The index set and the cone
+--------------------------
+``_compute_centred`` is the one recurrence, run over a sorted index set of
+n: 2..n_max for a full table.  As row n reads only the rows k and n - k of
+its window, the rows that a few targets ``at`` need form their dependency
+cone (``_cone``), a union of intervals around p^a q^b n_max, found by a
+vectorised walk over the windows.  ``compute(p, n_max, at=...)`` fills
+just the cone, each row by the full table's arithmetic, so the rows at
+``at`` are bit-identical to the full table's; the table is sparse in that
+it holds and answers for the rows ``at`` only.  At p = 1/2 the cone of
+n = 2^20 holds 8 % of the rows (3.8e8 of the 9e9 window cells of the full
+table), at p = 0.3 27 %; at small p the window spans most of 0..n and the
+cone is nearly every row.  Before any DP work a solve is checked against
+a budget of window cells and of dense moment-array bytes
+(WorkBudgetExceeded).
 
 Within one n the update order is fixed by data dependence:
 
@@ -78,7 +96,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVariance, GuardExceeded
+from .errors import DegenerateVariance, GuardExceeded, WorkBudgetExceeded
 
 # The dtype of precision "extended": x86-64's 80-bit long double carries a
 # 64-bit significand, 11 bits more than float64.  Where long double is only
@@ -88,6 +106,12 @@ _EXTENDED = np.longdouble
 # binomial mass, far below the 2^-53 (2^-64) roundoff of the float64 (long
 # double) sums (Hoeffding, see _windows).
 _TAIL_BITS = 121
+# Budget of one solve, checked before any DP work: the split outcomes (cells)
+# summed over the rows filled, and the bytes of the dense (8, n_max + 1)
+# moment array M.  The cone of n = 2^20 at p = 1/2, 3.8e8 cells, takes about
+# 20 s in float64 on a 2-core box, so the budget is about 25 s there.
+_MAX_CELLS = 5 * 10 ** 8
+_MAX_M_BYTES = 2 ** 28
 
 
 def _canonical(p: float) -> tuple[float, float]:
@@ -109,22 +133,32 @@ def _canonical(p: float) -> tuple[float, float]:
     return 1.0 - q_eff, q_eff
 
 
+def _ratio_tables(n_max: int, p: float, q: float, dtype) -> tuple:
+    """The factors i p and i q, i = 0..n_max, of the pmf ratios, in dtype."""
+    i = np.arange(n_max + 1, dtype=dtype)
+    return i * p, i * q
+
+
 def _binom_weights(n: int, p: float, q: float, dtype=np.float64,
-                   lo: int = 0, hi: int | None = None) -> np.ndarray:
+                   lo: int = 0, hi: int | None = None,
+                   ratios: tuple | None = None) -> np.ndarray:
     """Binomial(n, p) pmf at k = lo..hi (default 0..n), by multiplicative
     recurrence outward from the mode, which must lie in [lo, hi].
 
     The mode value is seeded in log space (no under/overflow for any n) and
     the vector is renormalised so the weights sum to 1 exactly to rounding.
-    The ratios, products and sum are formed in ``dtype``.  Up to that sum,
-    a window's entries are bit-identical to the full vector's.
+    The ratios w(k+1)/w(k) = (n - k) p / ((k + 1) q) read their factors from
+    ``ratios``, the ``_ratio_tables`` of some n_max >= n in ``dtype`` (built
+    here when not given); the products and the sum are formed in ``dtype``.
+    Up to that sum, a window's entries are bit-identical to the full vector's.
     """
     hi = n if hi is None else hi
+    if ratios is None:
+        ratios = _ratio_tables(n, p, q, dtype)
     k0 = min(max(int((n + 1) * p), 0), n)
     j = k0 - lo
-    ks = np.arange(lo, hi, dtype=dtype)
-    a = (n - ks) * p          # w(k+1) / w(k) = a / b at k = ks
-    b = (ks + 1.0) * q
+    a = ratios[0][n - lo:n - hi:-1]     # (n - k) p at k = lo..hi-1
+    b = ratios[1][lo + 1:hi + 1]        # (k + 1) q
     w = np.empty(hi - lo + 1, dtype)
     w[j] = 1.0
     w[j + 1:] = np.multiply.accumulate(a[j:] / b[j:])
@@ -137,7 +171,7 @@ def _binom_weights(n: int, p: float, q: float, dtype=np.float64,
     return w
 
 
-def _windows(n_max: int, p: float) -> tuple[list, list]:
+def _windows(n_max: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     """The split outcomes [lo(n), hi(n)], n = 0..n_max, the DP sums over.
 
     The window is k0 -+ t around the mode k0 = floor((n + 1) p), with
@@ -150,7 +184,45 @@ def _windows(n_max: int, p: float) -> tuple[list, list]:
     n = np.arange(n_max + 1)
     t = np.ceil(np.sqrt(n * (_TAIL_BITS * math.log(2.0) / 2.0))).astype(np.int64)
     k0 = np.minimum(((n + 1) * p).astype(np.int64), n)
-    return np.maximum(k0 - t, 0).tolist(), np.minimum(k0 + t, n).tolist()
+    return np.maximum(k0 - t, 0), np.minimum(k0 + t, n)
+
+
+def _cone(at, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+    """The dependency cone of the rows ``at`` (sorted, distinct, each >= 2)
+    under the windows ``lows``, ``highs``: the sorted rows n >= 2 the DP
+    must fill to give them, ``at`` included.
+
+    Row n reads rows k and n - k for k in its window clipped to 1..n-1
+    (k = 0 and n are the self-terms; rows 0 and 1 are zero).  The walk
+    keeps a frontier of rows not seen before, starting at ``at``.  Each run
+    of consecutive frontier rows reads one interval of k and one of n - k:
+    every window holds its mode, which moves by at most 1 from n to n + 1,
+    so the windows of neighbouring n overlap and their union runs from the
+    least lo to the largest hi.  The unseen rows of the union of these
+    intervals, a few per step, form the next frontier, so each row enters
+    it once.
+    """
+    n = np.arange(highs.size)
+    lo = np.maximum(lows, 1)
+    hi = np.minimum(highs, n - 1)
+    seen = np.zeros(n.size, dtype=bool)
+    front = np.array(at, dtype=np.int64)
+    while front.size:
+        seen[front] = True
+        run = np.flatnonzero(np.diff(front, prepend=-1) != 1)
+        first = np.concatenate([np.minimum.reduceat(lo[front], run),
+                                np.minimum.reduceat(front - hi[front], run)])
+        last = np.concatenate([np.maximum.reduceat(hi[front], run),
+                               np.maximum.reduceat(front - lo[front], run)])
+        union = []
+        for a, b in sorted(zip(first.tolist(), last.tolist())):
+            if union and a <= union[-1][1] + 1:
+                union[-1][1] = max(union[-1][1], b)
+            else:
+                union.append([a, b])
+        rows = np.concatenate([np.arange(max(a, 2), b + 1) for a, b in union])
+        front = rows[~seen[rows]]
+    return np.flatnonzero(seen)
 
 
 @dataclass(frozen=True)
@@ -158,7 +230,9 @@ class MomentTable:
     """Exact first/second/mixed moments of (S_n, K_n, N_n) for n <= n_max.
 
     ES, EK, EN are the means; VarS ... CovSN the centred second moments the
-    accessors return.
+    accessors return.  A table solved for the rows ``at`` only holds those
+    rows: the arrays are filled over their dependency cone alone, and the
+    accessors and ``columns`` refuse or skip every other n.
     """
 
     p: float
@@ -172,11 +246,15 @@ class MomentTable:
     VarN: np.ndarray
     CovSK: np.ndarray
     CovSN: np.ndarray
+    at: tuple | None = None     # the rows solved for; None: all of 0..n_max
 
     # -- accessors ---------------------------------------------------------
     def _check_n(self, n: int):
         if not (0 <= n <= self.n_max):
             raise IndexError(f"n={n} outside table range 0..{self.n_max}")
+        if self.at is not None and n not in self.at:
+            raise IndexError(
+                f"n={n} is not among the rows solved for, {list(self.at)}")
 
     def mean_S(self, n: int) -> float:
         self._check_n(n)
@@ -233,31 +311,41 @@ class MomentTable:
                "CovSK", "CovSN", "RhoSK", "RhoSN")
 
     def columns(self) -> list:
-        """The table by column, in COLUMNS order, each a list of Python numbers.
+        """The table by column, in COLUMNS order, each a list of Python
+        numbers: rows 0..n_max, or the rows ``at``.
 
         The correlations are nan for n < 2; a variance <= 0 at n >= 2
         raises DegenerateVariance, as the rho accessors do.
         """
-        vs, vk, vn = self.VarS[2:], self.VarK[2:], self.VarN[2:]
+        if self.at is None:     # views; the correlations are nan at n < 2
+            rows, sel, lead = range(self.n_max + 1), slice(None), 2
+        else:                   # each row of at is >= 2
+            rows, sel, lead = self.at, list(self.at), 0
+        vs, vk, vn = (getattr(self, k)[sel][lead:] for k in ("VarS", "VarK", "VarN"))
         bad = np.flatnonzero((vs <= 0.0) | (vk <= 0.0) | (vn <= 0.0))
         if bad.size:
-            raise DegenerateVariance(f"correlation undefined at n={bad[0] + 2}")
-        nan = [math.nan] * 2
-        return ([list(range(self.n_max + 1))]
-                + [getattr(self, name).tolist() for name in self.COLUMNS[1:9]]
-                + [nan + (self.CovSK[2:] / np.sqrt(vs * vk)).tolist(),
-                   nan + (self.CovSN[2:] / np.sqrt(vs * vn)).tolist()])
+            raise DegenerateVariance(
+                f"correlation undefined at n={rows[lead + bad[0]]}")
+        nan = [math.nan] * lead
+        return ([list(rows)]
+                + [getattr(self, name)[sel].tolist() for name in self.COLUMNS[1:9]]
+                + [nan + (self.CovSK[sel][lead:] / np.sqrt(vs * vk)).tolist(),
+                   nan + (self.CovSN[sel][lead:] / np.sqrt(vs * vn)).tolist()])
 
 
-def _compute_centred(p: float, q: float, n_max: int, dtype) -> dict:
+def _compute_centred(p: float, q: float, n_max: int, rows: np.ndarray,
+                     lows: np.ndarray, highs: np.ndarray, dtype) -> dict:
+    """Fill the moment rows ``rows`` (sorted, each >= 2, closed under the
+    dependencies of the windows ``lows``, ``highs``) of an (8, n_max + 1)
+    array M in ``dtype``; every other row stays zero."""
     # Row order of M: the three means, then the five centred second moments.
     M = np.zeros((8, n_max + 1), dtype)
     mS, mK, mN, vSS, vKK, vSK, vSN, vNN = M
-    lows, highs = _windows(n_max, p)
+    ratios = _ratio_tables(n_max, p, q, dtype)
     tiny = np.finfo(dtype).tiny
-    for n in range(2, n_max + 1):
-        lo, hi = lows[n], highs[n]
-        w = _binom_weights(n, p, q, dtype, lo, hi)
+    for n in rows.tolist():
+        lo, hi = int(lows[n]), int(highs[n])
+        w = _binom_weights(n, p, q, dtype, lo, hi, ratios)
         if w[0] < tiny or w[-1] < tiny:
             # at tiny p the window reaches past underflow: drop the zero and
             # subnormal weights at its ends (the pmf is unimodal)
@@ -294,11 +382,22 @@ def _compute_centred(p: float, q: float, n_max: int, dtype) -> dict:
     return dict(zip(("ES", "EK", "EN", "VarS", "VarK", "CovSK", "CovSN", "VarN"), M))
 
 
-def compute(p: float, n_max: int, precision: str = "standard") -> MomentTable:
-    """Solve the moment recurrences exactly for all n <= n_max at fixed p."""
+def compute(p: float, n_max: int, precision: str = "standard",
+            at=None) -> MomentTable:
+    """Solve the moment recurrences exactly at fixed p, for all n <= n_max,
+    or with ``at``, rows in 2..n_max, over the dependency cone of those rows
+    alone (``_cone``); the table then holds only the rows ``at``.  Either
+    way each row is bit-identical to the full table's.  A solve above the
+    budget (_MAX_CELLS split outcomes or _MAX_M_BYTES of moment array) is
+    refused with WorkBudgetExceeded before any DP work.
+    """
     p_eff, q_eff = _canonical(p)
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
+    if at is not None:
+        at = tuple(sorted({int(n) for n in at}))
+        if not at or at[0] < 2 or at[-1] > n_max:
+            raise ValueError("at must hold rows in 2..n_max")
     if precision not in ("standard", "extended"):
         raise ValueError("precision must be 'standard' or 'extended'")
     dtype = np.float64
@@ -309,8 +408,20 @@ def compute(p: float, n_max: int, precision: str = "standard") -> MomentTable:
             raise ValueError(
                 "precision 'extended' needs a long double with a 64-bit "
                 f"significand; this platform's has {bits} bits")
-    t = _compute_centred(p_eff, q_eff, n_max, dtype)
-    return MomentTable(p=p, n_max=n_max, precision=precision,
+    m_bytes = 8 * (n_max + 1) * np.dtype(dtype).itemsize
+    if m_bytes > _MAX_M_BYTES:
+        raise WorkBudgetExceeded(
+            f"the moment array to n={n_max} takes {m_bytes} bytes, above the "
+            f"budget of {_MAX_M_BYTES}")
+    lows, highs = _windows(n_max, p_eff)
+    rows = np.arange(2, n_max + 1) if at is None else _cone(at, lows, highs)
+    cells = int((highs[rows] - lows[rows] + 1).sum())
+    if cells > _MAX_CELLS:
+        raise WorkBudgetExceeded(
+            f"the DP over {rows.size} rows sums {cells} split outcomes, above "
+            f"the budget of {_MAX_CELLS}")
+    t = _compute_centred(p_eff, q_eff, n_max, rows, lows, highs, dtype)
+    return MomentTable(p=p, n_max=n_max, precision=precision, at=at,
                        **{k: v.astype(np.float64, copy=False) for k, v in t.items()})
 
 
@@ -377,6 +488,8 @@ class PoissonModel:
     """
 
     def __init__(self, table: MomentTable):
+        if table.at is not None:
+            raise ValueError("a Poisson model needs a full table, not rows at")
         self.p = table.p
         self.q = 1.0 - table.p
         self.f10 = PoissonSeries.from_moments(table.ES)

@@ -200,7 +200,7 @@ def whiten(n: int, p: float, trials: int, seed: int = 0, source: str = "exact",
     x = sample_matrix(n, p, trials, seed)[:, :2]
     if source == "exact":
         if table is None:
-            table = exact.compute(p, n)
+            table = exact.compute(p, n, at=[n])
         elif table.n_max < n or table.p != p:
             raise ValueError("supplied table does not cover (n, p)")
         center = (table.mean_S(n), table.mean_K(n))

@@ -153,14 +153,15 @@ def _alias_tables(p: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _alias_split(m: np.ndarray, u: np.ndarray, prob: np.ndarray,
-                 alias: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write into ``out`` the left-subtree key counts of nodes with m keys,
-    Binomial(m, p) each, and return it.
+                 alias: np.ndarray) -> np.ndarray:
+    """The left-subtree key counts of nodes with m keys, Binomial(m, p)
+    each, as a new int32 array.
 
     One uniform per node from [0, 1) (overwritten): the column is
     j = min(floor(u (m+1)), m), and the fraction u (m+1) - j, resolved to
     (m+1) 2**-53 <= 2**-47, is compared with prob to keep j or take its
-    alias.  Rows are clipped to _SMALL, so nodes with more keys get a
+    alias; the choice is integer arithmetic, alias + keep (j - alias).
+    Rows are clipped to _SMALL, so nodes with more keys get a
     Binomial(_SMALL, p) placeholder for the caller to overwrite.
     """
     row = np.minimum(m, _SMALL)
@@ -173,8 +174,10 @@ def _alias_split(m: np.ndarray, u: np.ndarray, prob: np.ndarray,
     at >>= 1
     at += j
     keep = u < prob.take(at)
-    np.take(alias, at, out=out)
-    np.copyto(out, j, where=keep)
+    out = alias.take(at)
+    j -= out
+    j *= keep
+    out += j
     return out
 
 
@@ -238,8 +241,7 @@ def sample_shapes(n: int, p: float, counts, rngs) -> np.ndarray:
         for rng, a, b in zip(rngs, cuts, cuts[1:]):
             if a < b:
                 rng.random(out=u[a:b])
-        children = np.empty(2 * active.size, dtype=np.int32)
-        left = _alias_split(active, u, prob, alias, children[0::2])
+        left = _alias_split(active, u, prob, alias)
         if big:
             at = np.flatnonzero(active > _SMALL)
             big = at.size > 0
@@ -247,6 +249,8 @@ def sample_shapes(n: int, p: float, counts, rngs) -> np.ndarray:
             for rng, a, b in zip(rngs, cut, cut[1:]):
                 if a < b:
                     left[at[a:b]] = rng.binomial(active.take(at[a:b]), p)
+        children = np.empty(2 * active.size, dtype=np.int32)
+        children[0::2] = left
         np.subtract(active, left, out=children[1::2])
         nodes = ends[1:] - ends[:-1]
         alive = nodes > 0

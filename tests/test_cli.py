@@ -85,6 +85,44 @@ class TestExact:
         doc = json.loads(out)
         assert doc["columns"]["ES"][2] == 2.0
 
+    @pytest.mark.parametrize("p, precision", [(0.3, "standard"),
+                                              (0.5, "extended")])
+    def test_at_rows_equal_nmax_rows(self, capsys, p, precision):
+        # --at prints the --nmax table's lines at its rows, byte for byte
+        tail = ["--p", str(p), "--precision", precision]
+        _, full, _ = run_cli(["exact", "--nmax", "600"] + tail, capsys)
+        code, part, _ = run_cli(["exact", "--at", "600,2,77,77"] + tail, capsys)
+        assert code == 0
+        full, part = full.splitlines(), part.splitlines()
+        assert (part[0].replace("at=600,2,77,77 ", "")
+                == full[0].replace("n_max=600 ", ""))
+        assert part[1:] == [full[1], full[2 + 2], full[2 + 77], full[2 + 600]]
+        _, full, _ = run_cli(["exact", "--nmax", "600", "--format", "json"]
+                             + tail, capsys)
+        _, part, _ = run_cli(["exact", "--at", "77,600", "--format", "json"]
+                             + tail, capsys)
+        full, part = json.loads(full), json.loads(part)
+        assert part["config"]["at"] == "77,600"
+        assert part["columns"] == {k: [v[77], v[600]]
+                                   for k, v in full["columns"].items()}
+
+    def test_at_budget_exit_3_before_dp(self, capsys, monkeypatch):
+        def no_dp(*a):
+            raise AssertionError("ran the DP")
+
+        monkeypatch.setattr(exact, "_compute_centred", no_dp)
+        for at in ("1048576", "1000,4194304"):
+            code, out, err = run_cli(["exact", "--p", "0.3", "--at", at], capsys)
+            assert code == 3 and out == ""
+            assert err.startswith("work budget exceeded: "), err
+
+    def test_at_refusals_exit_2(self, capsys):
+        for args in (["--at", "1,64"], ["--at", "64", "--nmax", "64"], []):
+            code, out, err = run_cli(["exact", "--p", "0.3"] + args, capsys)
+            assert code == 2 and out == ""
+        assert "at values must be >= 2" in run_cli(
+            ["exact", "--p", "0.3", "--at", "0"], capsys)[2]
+
 
 class TestAsym:
     def test_symmetric_families(self, capsys):
@@ -422,6 +460,14 @@ BAD_INPUT = [  # (arguments, exit code)
     # a bad seed is refused before a 20,000-row exact table
     (["whiten", "--p", "0.5", "--n", "20000", "--trials", "10", "--seed",
       "-1", "--source", "exact"], 2),
+    # g_k is exactly 0.0 past k = 52 at p = 1/2, yet these ran for minutes
+    (["asym", "--p", "0.5", "--kmax", "10000000"], 2),
+    (["asym", "--p", "0.5", "--emit-F", "--kmax", "1000000"], 2),
+    (["asym", "--p", "0.5", "--emit-F", "--points", "100000000"], 2),
+    # cones above the exact work budget: 1.5e9 split outcomes at p = 0.3,
+    # and a 256 MiB moment array at 2^22
+    (["exact", "--p", "0.3", "--at", "1048576"], 3),
+    (["exact", "--p", "0.5", "--at", "4194304"], 3),
 ]
 
 
@@ -439,12 +485,15 @@ def test_bad_input_fails_fast(args, code):
     assert elapsed < 10.0
     if "1000000000000000" in args:
         assert proc.stderr.startswith("out of memory: "), proc.stderr
-    elif args[0] == "simulate" and code == 3:   # the work-budget rows
+    elif args[0] in ("simulate", "exact") and code == 3:   # work budgets
         assert proc.stderr.startswith("work budget exceeded: "), proc.stderr
     if args[0] in ("whiten", "hist") and args[4] in ("1", "0", "-5"):
         assert "n must be >= 2" in proc.stderr, proc.stderr
     if "--bins" in args:
         assert "bins must be <= trials" in proc.stderr, proc.stderr
+    for flag, cap in (("--kmax", 100), ("--points", 10000)):
+        if flag in args and int(args[args.index(flag) + 1]) > cap:
+            assert f"{flag} must be <= {cap}" in proc.stderr, proc.stderr
     if "--seed" in args:
         assert "seed must be in [0, 2**128)" in proc.stderr, proc.stderr
     elif "40000" in args:

@@ -9,10 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from conftest import assert_close, table, two_key_oracle
-from triemoments import DegenerateVariance, MomentTable, compute
+from triemoments import (DegenerateVariance, MomentTable, PoissonModel,
+                         WorkBudgetExceeded, compute, exact)
 from triemoments.asym import IRRATIONAL, g2_general, params
 from triemoments.cli import main
-from triemoments.exact import _TAIL_BITS, _binom_weights, _canonical, _windows
+from triemoments.exact import (_TAIL_BITS, _binom_weights, _canonical, _cone,
+                               _windows)
 
 
 class TestWeights:
@@ -86,6 +88,86 @@ def test_window_tails_below_bound(p):
     below = _mass_above(n[2:], n[2:] - lo[2:], 1.0 - p)   # n - X is Binomial(n, q)
     assert above.max() <= bound, (above.max(), int(above.argmax()) + 2)
     assert below.max() <= bound, (below.max(), int(below.argmax()) + 2)
+
+
+ROWS = ("ES", "EK", "EN", "VarS", "VarK", "VarN", "CovSK", "CovSN")
+
+
+@pytest.mark.parametrize("p, n_max, at, precision", [
+    (0.5, 16384, (16384,), "standard"),
+    (0.5, 9000, (2, 3, 1000, 8999, 9000), "standard"),
+    (0.3, 16384, (2, 777, 4096, 16384), "standard"),
+    (0.3, 2, (2,), "standard"),
+    (0.02, 16384, (16384,), "standard"),
+    (0.02, 5000, (2, 64, 4999, 5000), "standard"),
+    (0.5, 4096, (2, 4096), "extended"),
+    (0.3, 4096, (100, 2048, 4095), "extended"),
+    (0.02, 2048, (2, 2048), "extended"),
+])
+def test_rows_at_equal_full_table_bitwise(p, n_max, at, precision):
+    # the DP over the cone of ``at`` runs the full table's arithmetic on
+    # every row it fills
+    part = compute(p, n_max, precision, at=at)
+    assert part.at == at
+    full = table(p, n_max, precision)
+    for name in ROWS:
+        np.testing.assert_array_equal(getattr(part, name)[list(at)],
+                                      getattr(full, name)[list(at)])
+
+
+def _scan_cone(at, p):
+    """The cone by brute force: walk n downwards, marking the rows each
+    needed row reads."""
+    top = max(at)
+    lows, highs = _windows(top, p)
+    need = np.zeros(top + 1, dtype=bool)
+    need[list(at)] = True
+    for n in range(top, 1, -1):
+        if need[n]:
+            lo, hi = max(int(lows[n]), 1), min(int(highs[n]), n - 1)
+            need[lo:hi + 1] = True
+            need[n - hi:n - lo + 1] = True
+    need[:2] = False
+    return np.flatnonzero(need)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.3, 0.02, 1e-3])
+@pytest.mark.parametrize("at", [(2,), (3,), (64,), (1000, 1001),
+                                (5, 700, 16384), (9999, 16384)])
+def test_cone_matches_brute_force_scan(p, at):
+    lows, highs = _windows(max(at), p)
+    np.testing.assert_array_equal(_cone(at, lows, highs), _scan_cone(at, p))
+
+
+def test_table_at_holds_only_its_rows():
+    t = compute(0.3, 300, at=[300, 50, 50])
+    assert t.at == (50, 300)
+    assert t.var_S(50) > 0.0
+    with pytest.raises(IndexError, match="not among the rows"):
+        t.var_S(100)
+    full = compute(0.3, 300)
+    for name, got, want in zip(t.COLUMNS, t.columns(), full.columns()):
+        assert got == [want[50], want[300]], name
+    with pytest.raises(ValueError, match="full table"):
+        PoissonModel(t)
+    for bad in ([], [1], [301]):
+        with pytest.raises(ValueError, match="at must hold rows"):
+            compute(0.3, 300, at=bad)
+
+
+def test_budget_refused_before_dp_work(monkeypatch):
+    def no_dp(*a):
+        raise AssertionError("ran the DP")
+
+    monkeypatch.setattr(exact, "_compute_centred", no_dp)
+    # p = 0.3 at 2^20: the cone holds 27 % of the rows and 1.5e9 cells
+    with pytest.raises(WorkBudgetExceeded, match="split outcomes"):
+        compute(0.3, 2 ** 20, at=[2 ** 20])
+    # the dense moment array to 2^22 takes 2^28 + 64 bytes
+    with pytest.raises(WorkBudgetExceeded, match="bytes"):
+        compute(0.5, 2 ** 22, at=[2 ** 22])
+    with pytest.raises(WorkBudgetExceeded, match="split outcomes"):
+        compute(0.5, 2 ** 20)
 
 
 @pytest.mark.parametrize("p", [0.5, 0.3])

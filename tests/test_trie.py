@@ -266,7 +266,7 @@ def test_alias_last_uniform_stays_in_row():
     prob, alias = _alias_tables(0.3)
     m = np.arange(_SMALL + 1, dtype=np.int32)
     u = np.full(m.size, np.nextafter(1.0, 0.0))
-    k = _alias_split(m, u, prob, alias, np.empty(m.size, dtype=np.int32))
+    k = _alias_split(m, u, prob, alias)
     last = alias[_ROW_START + m]
     assert ((k == m) | (k == last)).all()
     assert ((0 <= k) & (k <= m)).all()
