@@ -260,11 +260,11 @@ def g2_general(model: ModelParams, k: int) -> complex:
     t2 = 0j
     if model.rational:
         # Gamma decays like exp(-pi |Im chi|/2) along the imaginary axis, so
-        # the convolution terms die super-exponentially in |j|; iterate
-        # outward and stop once a +-j pair drops below the tolerance.
+        # past j = |k| the convolution terms die super-exponentially; iterate
+        # outward and stop at the first +-j pair past |k| below the tolerance.
         acc = 0j
         converged = False
-        for j in range(1, _MAX_J + 1):
+        for j in range(1, abs(k) + _MAX_J + 1):
             pair = 0j
             for jj in (j, -j):
                 cj = model.chi(jj)
@@ -275,7 +275,7 @@ def g2_general(model: ModelParams, k: int) -> complex:
                 break
         if not converged:
             raise TruncationNotConverged(
-                f"j-convolution tail above tol={_TOL:g} at j={_MAX_J}")
+                f"j-convolution tail above tol={_TOL:g} at j={abs(k) + _MAX_J}")
         t2 = -acc / h ** 2
 
     t3 = (-cgamma(x + 1) / h ** 2

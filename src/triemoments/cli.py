@@ -30,7 +30,6 @@ import numpy as np
 from . import asym, exact, mc
 from .errors import RatioSpecMismatch, TrieMomentsError, WorkBudgetExceeded
 
-_MAX_NMAX = 30_000
 # asym: at p = 1/2 every g_k is exactly 0.0 past k = 52, and --emit-F
 # evaluates 3 (kmax + 1) terms at each of --points points
 _MAX_KMAX = 100
@@ -106,30 +105,20 @@ def _rows(text: str, name: str) -> list[int]:
     return rows
 
 
-def _table(p: float, n_max: int, precision: str, name: str,
-           at=None) -> exact.MomentTable:
-    """The exact table to n_max, or its rows ``at`` alone; ``name`` is the
-    flag n_max came from.  A full table costs about n_max^1.5, so past
-    _MAX_NMAX it is refused (exit 2), with ``at`` or without."""
-    if n_max < 2:
-        raise ValueError(f"{name} must be >= 2")
-    if n_max > _MAX_NMAX:
-        raise ValueError(f"{name} must be <= {_MAX_NMAX} for an exact table")
-    return exact.compute(p, n_max, precision, at=at)
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 def _cmd_exact(args) -> str:
     if args.at is None:
-        table = _table(args.p, args.nmax, args.precision, "nmax")
-        cfg = {"p": args.p, "n_max": args.nmax}
-    else:   # no row cap: exact.compute refuses a cone above its budget
+        if args.nmax < 2:
+            raise ValueError("nmax must be >= 2")
+        at, n_max, cfg = None, args.nmax, {"p": args.p, "n_max": args.nmax}
+    else:
         at = _rows(args.at, "at")
-        table = exact.compute(args.p, at[-1], args.precision, at=at)
-        cfg = {"p": args.p, "at": args.at}
+        n_max, cfg = at[-1], {"p": args.p, "at": args.at}
+    # exact.compute refuses a solve above its work budget (exit 3)
+    table = exact.compute(args.p, n_max, args.precision, at=at)
     cfg.update(precision=args.precision, command="exact", format=args.format)
     cols = dict(zip(table.COLUMNS, table.columns()))
     return _render(cfg, {"columns": cols}, args.format, lambda doc: (
@@ -193,12 +182,7 @@ def _cmd_simulate(args) -> str:
 def _cmd_whiten(args) -> str:
     cfg = {"n": args.n, "p": args.p, "trials": args.trials, "seed": args.seed,
            "source": args.source, "command": "whiten", "format": args.format}
-    mc.check(args.n, args.p, args.trials, args.seed, 2)
-    table = None
-    if args.source == "exact":     # built before sampling, so the cap comes first
-        table = _table(args.p, args.n, "standard", "n", at=[args.n])
-    report = mc.whiten(args.n, args.p, args.trials, args.seed,
-                       source=args.source, table=table)
+    report = mc.whiten(args.n, args.p, args.trials, args.seed, args.source)
     return _render(cfg, report, args.format)
 
 
@@ -235,7 +219,7 @@ def _cmd_compare(args) -> str:
     if args.trials:     # refuse Monte-Carlo inputs before building the table
         for n in grid:
             mc.check(n, args.p, args.trials, args.seed, 100)
-    table = _table(args.p, grid[-1], args.precision, "n-grid values", at=grid)
+    table = exact.compute(args.p, grid[-1], args.precision, at=grid)
     if model.symmetric:
         c1, c2, c3 = (asym.sym_coeffs(f) for f in ("g1", "g2", "g3"))
         header = ("n,covSK_over_n,fluct_g2,diff_g2,varS_over_n,fluct_g1,"

@@ -108,8 +108,10 @@ _EXTENDED = np.longdouble
 _TAIL_BITS = 121
 # Budget of one solve, checked before any DP work: the split outcomes (cells)
 # summed over the rows filled, and the bytes of the dense (8, n_max + 1)
-# moment array M.  The cone of n = 2^20 at p = 1/2, 3.8e8 cells, takes about
-# 20 s in float64 on a 2-core box, so the budget is about 25 s there.
+# moment array M.  It is the one bound on every exact solve.  At its edge
+# the full float64 table of p = 0.3 to n_max = 149,000, 5.0e8 cells, takes
+# 19-22 s on a 2-core box (its CSV of 28.5 MB 1.3 s more), and the cone of
+# n = 2^20 at p = 1/2, 3.8e8 cells, 15-23 s.
 _MAX_CELLS = 5 * 10 ** 8
 _MAX_M_BYTES = 2 ** 28
 

@@ -13,7 +13,8 @@ bounds a call's memory and changes no sample.  Before drawing, ``check``
 refuses n < 2, too few trials, a bad p or a seed outside [0, 2**128) with
 ValueError, and with WorkBudgetExceeded a run whose batches would hold a
 trie of more than ``_MAX_KEYS`` keys or run for more than ``_MAX_LEVELS``
-levels; the CLI calls it before building an exact table.
+levels; ``whiten`` and the CLI's ``compare`` call it before they solve an
+exact row.
 
 Every command reduces the full sample matrix (trials x 3 int64, 24 B per
 trial) once, through one centring helper: ``summary`` (and ``run``, its
@@ -183,36 +184,35 @@ def marginal_diagnostics(values: np.ndarray):
     return float(skew[0]), float(kurt[0]), ks_normal(y[0] / sd)
 
 
-def whiten(n: int, p: float, trials: int, seed: int = 0, source: str = "exact",
-           table: exact.MomentTable | None = None) -> dict:
+def whiten(n: int, p: float, trials: int, seed: int = 0,
+           source: str = "exact") -> dict:
     """Whiten centered (S, K) by the inverse square root of a covariance
     matrix, and diagnose the whitened covariance and marginals.
 
-    source="exact" uses the finite-n matrix from the moment table (computed
-    on demand when not supplied) and exact means for centering;
-    source="sample" estimates both from the trials themselves;
-    source="asymptotic" uses the fluctuation-sum matrix (p = 1/2 only) with
-    sample means for centering, since mean-level fluctuation constants are
-    out of scope.
+    source="exact" uses the finite-n matrix of the exact row n, solved over
+    its dependency cone, and exact means for centering; source="sample"
+    estimates both from the trials themselves; source="asymptotic" uses the
+    fluctuation-sum matrix (p = 1/2 only) with sample means for centering,
+    since mean-level fluctuation constants are out of scope.  The inputs
+    are ``check``ed, and the exact or asymptotic matrix formed, before any
+    trie is drawn, so a refused solve costs no Monte-Carlo work.
     """
     if source not in ("exact", "sample", "asymptotic"):
         raise ValueError("source must be exact, sample or asymptotic")
-    x = sample_matrix(n, p, trials, seed)[:, :2]
+    check(n, p, trials, seed, 2)
     if source == "exact":
-        if table is None:
-            table = exact.compute(p, n, at=[n])
-        elif table.n_max < n or table.p != p:
-            raise ValueError("supplied table does not cover (n, p)")
+        table = exact.compute(p, n, at=[n])
         center = (table.mean_S(n), table.mean_K(n))
         sigma = SymMatrix2(a=table.var_S(n), b=table.cov_SK(n), c=table.var_K(n))
-    else:
+    elif source == "asymptotic":
+        sigma = asym.sigma_matrix(asym.params(p), n)
+    x = sample_matrix(n, p, trials, seed)[:, :2]
+    if source != "exact":
         mean, _, m2, _, _ = _centre(x)
         center = tuple(mean)
-        if source == "sample":
-            cov = m2 / (trials - 1)
-            sigma = SymMatrix2(a=cov[0, 0], b=cov[0, 1], c=cov[1, 1])
-        else:
-            sigma = asym.sigma_matrix(asym.params(p), n)
+    if source == "sample":
+        cov = m2 / (trials - 1)
+        sigma = SymMatrix2(a=cov[0, 0], b=cov[0, 1], c=cov[1, 1])
     w = invsqrt2(sigma)  # NotPositiveDefinite propagates (e.g. n=2 sample)
     y = w.apply(x - np.array(center))
     wcov = (y.T @ y) / (trials - 1)

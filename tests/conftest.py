@@ -18,8 +18,8 @@ def table(p: float, n_max: int, precision: str = "standard") -> exact.MomentTabl
 
 @pytest.fixture(scope="session")
 def table_05():
-    # covers acceptance at p = 1/2: rho windows to 4096 and whitening at 1e4
-    return table(0.5, 10_000)
+    # covers acceptance at p = 1/2: rho windows to 4096
+    return table(0.5, 4096)
 
 
 @pytest.fixture(scope="session")
@@ -29,7 +29,7 @@ def table_05_ext():
 
 @pytest.fixture(scope="session")
 def table_03():
-    # p = 0.3: lambda slope to 2^14, rho_SN at 2^12, whitening at 1e4
+    # p = 0.3: lambda slope to 2^14, rho_SN at 2^12
     return table(0.3, 16_384)
 
 

@@ -150,8 +150,9 @@ class TestSymCoefficients:
 
 class TestGeneralCovariance:
     def test_matches_symmetric_case(self):
+        # every harmonic up to asym's --kmax cap, k >= 40 included
         m = params(0.5)
-        for k in (0, 1, 2):
+        for k in range(101):
             diff = abs(g2_general(m, k) - g2_sym(k))
             assert diff < 1e-9, f"k={k}: diff={diff:.2e}"
 
@@ -189,6 +190,19 @@ class TestGeneralCovariance:
         a, b = params(p), params(1 - p)
         assert (a.ratio, b.ratio) == (RatioSpec(2, 1), RatioSpec(1, 2))
         assert cov_coeffs(a, 3).values == cov_coeffs(b, 3).values
+
+    @pytest.mark.parametrize("p, ratio", [(0.3819660112501051, RatioSpec(2, 1)),
+                                          (0.47331101329926406, RatioSpec(7, 6))])
+    def test_rational_harmonics_to_kmax_cap(self, p, ratio):
+        # the j-convolution of harmonic k peaks near j = k, so it must run
+        # past |k|: every k up to asym's --kmax cap of 100 converges, and the
+        # harmonics decay from k = 0
+        m = params(p)
+        assert m.ratio == ratio
+        mags = [abs(g2_general(m, k)) for k in range(101)]
+        assert all(math.isfinite(v) for v in mags)
+        assert all(mags[k + 1] <= mags[k] for k in range(100))
+        assert mags[1] < 1e-7 * mags[0]
 
     def test_harmonics_tiny_vs_k0(self):
         m = params(0.5)

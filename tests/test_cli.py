@@ -33,9 +33,16 @@ class TestExact:
         assert code == 2
         assert "p must be in (0,1)" in err
 
-    def test_nmax_cap(self, capsys):
-        code, _, err = run_cli(["exact", "--p", "0.5", "--nmax", "50000"], capsys)
+    def test_nmax_past_budget_exit_3(self, capsys):
+        # the exact work budget is the one bound on --nmax: 7.7e8 split
+        # outcomes at 200,000 rows, refused before any DP work
+        code, out, err = run_cli(["exact", "--p", "0.5", "--nmax", "200000"],
+                                 capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("work budget exceeded: "), err
+        code, _, err = run_cli(["exact", "--p", "0.5", "--nmax", "1"], capsys)
         assert code == 2
+        assert "nmax must be >= 2" in err
 
     def test_pq_symmetry_of_files(self, capsys):
         strip = lambda text: [ln for ln in text.split("\n") if not ln.startswith("#")]
@@ -444,13 +451,20 @@ BAD_INPUT = [  # (arguments, exit code)
     # the asymptotic covariance matrix exists only at p = 1/2
     (["whiten", "--p", "0.3", "--n", "64", "--trials", "300", "--source",
       "asymptotic"], 2),
-    # Monte-Carlo inputs refused before a 30,000-row (or 20,000-row) table
+    # Monte-Carlo inputs refused before a 30,000-row (or 20,000-row) solve
     (["whiten", "--p", "0.5", "--n", "30000", "--trials", "1", "--source",
       "exact"], 2),
     (["compare", "--p", "0.3", "--n-grid", "20000", "--trials", "1"], 2),
-    # an exact table past the 30,000-row cap, refused before it is built
+    # exact solves past 30,000 rows run under the work budget alone
     (["whiten", "--p", "0.5", "--n", "40000", "--trials", "10", "--source",
-      "exact"], 2),
+      "exact"], 0),
+    # exact solves above the work budget, refused before any DP or
+    # Monte-Carlo work: 7.7e8 split outcomes at 200,000 rows, and 1.5e9 in
+    # the p = 0.3 cone of 2^20
+    (["exact", "--p", "0.3", "--nmax", "200000"], 3),
+    (["compare", "--p", "0.3", "--n-grid", "1048576"], 3),
+    (["whiten", "--p", "0.3", "--n", "1048576", "--trials", "10", "--source",
+      "exact"], 3),
     # Philox keys are 128 bits: these seeds would wrap onto seeds 2**128 - 1
     # and 1
     (["simulate", "--p", "0.5", "--n", "16", "--trials", "100", "--seed",
@@ -464,6 +478,10 @@ BAD_INPUT = [  # (arguments, exit code)
     (["asym", "--p", "0.5", "--kmax", "10000000"], 2),
     (["asym", "--p", "0.5", "--emit-F", "--kmax", "1000000"], 2),
     (["asym", "--p", "0.5", "--emit-F", "--points", "100000000"], 2),
+    # rational p: the j-convolution of every harmonic up to the --kmax cap
+    # converges (ratios 2/1 and 7/6)
+    (["asym", "--p", "0.3819660112501051", "--kmax", "100"], 0),
+    (["asym", "--p", "0.47331101329926406", "--kmax", "100"], 0),
     # cones above the exact work budget: 1.5e9 split outcomes at p = 0.3,
     # and a 256 MiB moment array at 2^22
     (["exact", "--p", "0.3", "--at", "1048576"], 3),
@@ -485,7 +503,7 @@ def test_bad_input_fails_fast(args, code):
     assert elapsed < 10.0
     if "1000000000000000" in args:
         assert proc.stderr.startswith("out of memory: "), proc.stderr
-    elif args[0] in ("simulate", "exact") and code == 3:   # work budgets
+    elif args[0] != "asym" and code == 3:   # work budgets
         assert proc.stderr.startswith("work budget exceeded: "), proc.stderr
     if args[0] in ("whiten", "hist") and args[4] in ("1", "0", "-5"):
         assert "n must be >= 2" in proc.stderr, proc.stderr
@@ -496,8 +514,6 @@ def test_bad_input_fails_fast(args, code):
             assert f"{flag} must be <= {cap}" in proc.stderr, proc.stderr
     if "--seed" in args:
         assert "seed must be in [0, 2**128)" in proc.stderr, proc.stderr
-    elif "40000" in args:
-        assert "n must be <= 30000" in proc.stderr, proc.stderr
     elif "30000" in args or "20000" in args:
         least = 2 if args[0] == "whiten" else 100
         assert f"trials must be >= {least}" in proc.stderr, proc.stderr
@@ -532,6 +548,40 @@ def test_bad_seed_refused_before_table(monkeypatch, capsys, args):
     code, out, err = run_cli(args + ["--seed", "-1"], capsys)
     assert code == 2 and out == ""
     assert "seed must be in [0, 2**128), got -1" in err
+
+
+def test_exact_solve_refused_before_sampling(monkeypatch, capsys):
+    # whiten --source exact solves its row before it draws a trie, so a
+    # solve above the work budget costs no Monte-Carlo work
+    def no_sample(*a):
+        raise AssertionError("drew a Monte-Carlo sample")
+
+    monkeypatch.setattr(mc, "sample_matrix", no_sample)
+    code, out, err = run_cli(["whiten", "--p", "0.3", "--n", "1048576",
+                              "--trials", "10", "--source", "exact"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("work budget exceeded: "), err
+
+
+def test_compare_past_30000_rows_matches_exact_at(capsys):
+    # compare reads its exact columns from the rows exact --at prints, also
+    # past 30,000 rows, at full float precision
+    code, out, _ = run_cli(["compare", "--p", "0.5", "--n-grid", "4096,65536",
+                            "--format", "json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    code, out, _ = run_cli(["exact", "--p", "0.5", "--at", "4096,65536",
+                            "--format", "json"], capsys)
+    assert code == 0
+    cols = json.loads(out)["columns"]
+    assert cols["n"] == [row[0] for row in doc["rows"]] == [4096, 65536]
+    for i, row in enumerate(doc["rows"]):
+        got = dict(zip(doc["columns"], row))
+        n = cols["n"][i]
+        assert got["covSK_over_n"] == cols["CovSK"][i] / n
+        assert got["varS_over_n"] == cols["VarS"][i] / n
+        assert got["varK_over_n"] == cols["VarK"][i] / n
+        assert got["rho_exact"] == cols["RhoSK"][i]
 
 
 CONFIG_CASES = [

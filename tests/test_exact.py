@@ -50,21 +50,22 @@ class TestWeights:
         np.testing.assert_allclose(w, full[lo:hi + 1], rtol=1e-15, atol=0.0)
 
 
-def _mass_above(n: np.ndarray, k: np.ndarray, p: float) -> np.ndarray:
-    """P(X > k) for X ~ Binomial(n, p), elementwise, in log space.
+def _mass_above(n: np.ndarray, k: np.ndarray, p: float, log_fact) -> np.ndarray:
+    """P(X > k) for X ~ Binomial(n, p), elementwise, in log space, with
+    log_fact(i) = log i! elementwise.
 
     Terms are summed outward from k + 1 until each falls below 2^-200 and
     has passed the mode; the pmf falls from there on, so the n terms left
     add at most n times the last one, which is added as the remainder.
     """
-    lf = np.array([math.lgamma(i + 1) for i in range(int(n.max()) + 1)])
     lp, lq = math.log(p), math.log1p(-p)
     total = np.zeros(n.shape)
     j = k + 1
     while True:
         live = j <= n
         jj = np.where(live, j, n)
-        log_pmf = lf[n] - lf[jj] - lf[n - jj] + jj * lp + (n - jj) * lq
+        log_pmf = (log_fact(n) - log_fact(jj) - log_fact(n - jj)
+                   + jj * lp + (n - jj) * lq)
         term = np.where(live, np.exp(log_pmf), 0.0)
         total += term
         done = ~live | ((term < 2.0 ** -200) & (jj > (n + 1) * p))
@@ -73,21 +74,35 @@ def _mass_above(n: np.ndarray, k: np.ndarray, p: float) -> np.ndarray:
         j = j + 1
 
 
+def _log_fact(i: np.ndarray) -> np.ndarray:
+    return np.array([math.lgamma(v + 1) for v in i.tolist()])
+
+
+# the largest row the exact budget admits: the dense float64 moment array,
+# 8 rows to n_max, within _MAX_M_BYTES
+_BUDGET_ROW = exact._MAX_M_BYTES // 64 - 1
+
+
 @pytest.mark.parametrize("p", [0.5, 0.3, 0.02, 1e-3, 1e-6])
 def test_window_tails_below_bound(p):
-    # every n up to the CLI cap: the binomial mass beyond each end of the
+    # every n up to 30,000 and a log-spaced sample beyond, up to the largest
+    # row the exact budget admits: the binomial mass beyond each end of the
     # DP's window, summed independently of the package, is at most
-    # 2^-_TAIL_BITS, and the window holds the mode the weights start from
-    n_max = 30_000
-    lo, hi = (np.array(b) for b in _windows(n_max, p))
-    n = np.arange(n_max + 1)
+    # 2^-_TAIL_BITS, and every window holds the mode the weights start from
+    lo, hi = _windows(_BUDGET_ROW, p)
+    n = np.arange(_BUDGET_ROW + 1)
     mode = np.minimum(((n + 1) * p).astype(np.int64), n)
     assert ((lo <= mode) & (mode <= hi)).all()
     bound = 2.0 ** -_TAIL_BITS
-    above = _mass_above(n[2:], hi[2:], p)
-    below = _mass_above(n[2:], n[2:] - lo[2:], 1.0 - p)   # n - X is Binomial(n, q)
-    assert above.max() <= bound, (above.max(), int(above.argmax()) + 2)
-    assert below.max() <= bound, (below.max(), int(below.argmax()) + 2)
+    lf = _log_fact(np.arange(30_001))
+    dense = n[2:30_001]
+    sample = np.unique(np.geomspace(30_001, _BUDGET_ROW, 40).astype(np.int64))
+    for rows, log_fact in ((dense, lf.__getitem__), (sample, _log_fact)):
+        above = _mass_above(rows, hi[rows], p, log_fact)
+        # n - X is Binomial(n, q)
+        below = _mass_above(rows, rows - lo[rows], 1.0 - p, log_fact)
+        assert above.max() <= bound, (above.max(), int(rows[above.argmax()]))
+        assert below.max() <= bound, (below.max(), int(rows[below.argmax()]))
 
 
 ROWS = ("ES", "EK", "EN", "VarS", "VarK", "VarN", "CovSK", "CovSN")

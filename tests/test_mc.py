@@ -8,7 +8,6 @@ import pytest
 from conftest import assert_close, table, two_key_oracle
 from triemoments import (DegenerateVariance, NotPositiveDefinite,
                          WorkBudgetExceeded, run, whiten, joint_histogram)
-from triemoments.exact import compute as exact_compute
 from triemoments.mc import (_MAX_KEYS, _MAX_LEVELS, _batch_height,
                             _batch_size, ks_normal,
                             marginal_diagnostics, sample_matrix, summary)
@@ -127,8 +126,7 @@ class TestDiagnostics:
 
 class TestWhiten:
     def test_exact_source_identity(self):
-        t = table(0.3, 2048)
-        r = whiten(2048, 0.3, 4000, seed=13, source="exact", table=t)
+        r = whiten(2048, 0.3, 4000, seed=13, source="exact")
         assert np.abs(np.array(r["whitened_cov"]) - np.eye(2)).max() < 0.08
         assert r["max_offdiag"] < 0.08
 
@@ -144,9 +142,8 @@ class TestWhiten:
     def test_whitening_inverts_dependence(self):
         # raw correlation sits near 0.927 at p = 1/2; after whitening the
         # off-diagonal collapses
-        t = table(0.5, 4096)
         raw = run(4096, 0.5, 4000, seed=19)
-        r = whiten(4096, 0.5, 4000, seed=19, source="exact", table=t)
+        r = whiten(4096, 0.5, 4000, seed=19, source="exact")
         assert 0.9 < raw["rho"]["SK"] < 0.95
         assert r["max_offdiag"] < 0.05
 
@@ -154,13 +151,6 @@ class TestWhiten:
         # K = 2S almost surely at n = 2: the sample covariance is singular
         with pytest.raises(NotPositiveDefinite):
             whiten(2, 0.5, 500, seed=1, source="sample")
-
-    def test_table_mismatch_rejected(self):
-        t = exact_compute(0.3, 128)  # deliberately too small / wrong p
-        with pytest.raises(ValueError):
-            whiten(256, 0.3, 500, seed=1, source="exact", table=t)
-        with pytest.raises(ValueError):
-            whiten(64, 0.5, 500, seed=1, source="exact", table=t)
 
     def test_bad_source(self):
         with pytest.raises(ValueError):
