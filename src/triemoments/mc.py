@@ -9,7 +9,15 @@ shorter batch is drawn with fewer tries from its stream.  Consecutive
 batches share one ``trie.sample_shapes`` call, up to ``_CALL_KEYS`` = 2**17
 keys and ``_MAX_BATCH`` tries a call (one batch at least), so they share the
 sampler's level loop while each still draws from its own stream; this
-bounds a call's memory and changes no sample.  Before drawing, ``check``
+bounds a call's memory and changes no sample.  The calls are split into k
+contiguous shares, one per worker process: this process draws the first
+share, and k - 1 ``os.fork`` children draw the others and send their rows
+back through pipes, so k changes no sample either.  k is one per CPU
+(``os.sched_getaffinity``), at most one per call, at most one per
+``_WORKER_KEYS`` = 2**20 keys of the run (about 0.15 s of drawing against
+a fork round trip of about 6 ms), and few enough that k calls together hold
+at most ``_MAX_KEYS`` keys.  So small runs, and runs pinned to one CPU
+(``taskset -c 0``), draw in this process alone.  Before drawing, ``check``
 refuses n < 2, too few trials, a bad p or a seed outside [0, 2**128) with
 ValueError, and with WorkBudgetExceeded a run whose batches would hold a
 trie of more than ``_MAX_KEYS`` keys or run for more than ``_MAX_LEVELS``
@@ -28,24 +36,29 @@ configuration and writes it as JSON or CSV.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 
 import numpy as np
 
 from . import asym, exact
 from .asym import SymMatrix2, invsqrt2
-from .errors import DegenerateVariance, WorkBudgetExceeded
-from .trie import check_seed, sample_shapes, trial_rng
+from .errors import DegenerateVariance, TrieMomentsError, WorkBudgetExceeded
+from .trie import _alias_tables, check_seed, sample_shapes, trial_rng
 
 _BATCH_KEYS = 2 ** 16
 _MAX_BATCH = 1024
 _CALL_KEYS = 2 ** 17     # keys one sample_shapes call draws, over its batches
 _SQRT2 = math.sqrt(2.0)
 # Budget of one batch.  Its memory follows its widest level, about 15 B a
-# key at p = 1/2 (less at skewed p), so 2**24 keys take about 240 MiB.  Its
-# time at tiny p follows its height: a level costs 60-120 us (2-core box,
-# n = 2..1e5, p = 1e-4 and 1e-3), so 1e6 levels take one to two minutes.
+# key at p = 1/2 (less at skewed p), so 2**24 keys take about 240 MiB.  The
+# worker processes' calls hold at most _MAX_KEYS keys together, so a run of
+# several workers stays within the same memory.  Its time at tiny p follows
+# its height: a level costs 60-120 us (2-core box, n = 2..1e5, p = 1e-4 and
+# 1e-3), so 1e6 levels take one to two minutes.
 _MAX_KEYS = 2 ** 24
 _MAX_LEVELS = 10 ** 6
+_WORKER_KEYS = 2 ** 20   # keys of the run per worker process, at least
 
 
 # ---------------------------------------------------------------------------
@@ -87,24 +100,105 @@ def check(n: int, p: float, trials: int, seed: int, least: int) -> None:
     check_seed(seed)
 
 
+def _cpus() -> int:
+    """CPUs this process may run on; 1 where os.fork or affinity is missing."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
 def sample_matrix(n: int, p: float, trials: int, seed: int) -> np.ndarray:
     """(trials, 3) matrix of (S, K, N) samples, deterministic per seed.
 
     ``check``s its inputs with a floor of 2 trials, then draws consecutive
     batches together, as many per ``sample_shapes`` call as keep the call
-    within _CALL_KEYS keys and _MAX_BATCH tries (one batch at least).
+    within _CALL_KEYS keys and _MAX_BATCH tries (one batch at least).  The
+    calls are split into k contiguous shares, k = max(1, min(CPUs, calls,
+    trials n // _WORKER_KEYS, _MAX_KEYS // keys a call)), drawn by
+    ``_draw_forked``; every row is the same for every k.
     """
     check(n, p, trials, seed, 2)
     g = _batch_size(n)
     per_call = max(min(_CALL_KEYS // (g * n), _MAX_BATCH // g), 1)
     batches = -(-trials // g)
+    starts = range(0, batches, per_call)    # first batch of each call
+    k = max(1, min(_cpus(), len(starts), trials * n // _WORKER_KEYS,
+                   _MAX_KEYS // (per_call * g * n)))
     out = np.empty((trials, 3), dtype=np.int64)
-    for b0 in range(0, batches, per_call):
-        group = range(b0, min(b0 + per_call, batches))
-        counts = [min(g, trials - b * g) for b in group]
-        rows = sample_shapes(n, p, counts, [trial_rng(seed, b) for b in group])
-        out[b0 * g:b0 * g + len(rows)] = rows[:, :3]
+
+    def draw(share):
+        for b0 in share:
+            group = range(b0, min(b0 + per_call, batches))
+            counts = [min(g, trials - b * g) for b in group]
+            rows = sample_shapes(n, p, counts,
+                                 [trial_rng(seed, b) for b in group])
+            out[b0 * g:b0 * g + len(rows)] = rows[:, :3]
+
+    shares = []
+    for i in range(k):
+        share = starts[i * len(starts) // k:(i + 1) * len(starts) // k]
+        rows = slice(share[0] * g, min((share[-1] + per_call) * g, trials))
+        shares.append((share, rows))
+    _alias_tables(p)    # built before any fork, so the workers inherit it
+    _draw_forked(out, draw, shares)
     return out
+
+
+def _draw_forked(out: np.ndarray, draw, shares) -> None:
+    """Fill ``out`` by ``draw(share)`` for each (share, rows) of ``shares``,
+    where draw(share) fills out[rows].
+
+    This process draws the first share; each other is drawn by an
+    ``os.fork`` child, which sends out[rows], or the exception draw raised,
+    pickled through a pipe and leaves by ``os._exit``.  Fork, not spawn: a
+    child inherits the imports and caches, and draws with numpy's random
+    and element-wise code only, never with the BLAS threads a fork leaves
+    behind.  The results are read in share order, and a child's exception
+    is raised here unchanged; a child that ends without a result raises
+    TrieMomentsError naming it.  Every child is reaped before this returns
+    or raises, and killed first if anything failed.
+    """
+    children = []       # (pid, read end, rows)
+    try:
+        for share, rows in shares[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    try:
+                        draw(share)
+                        result = out[rows]
+                    except Exception as e:      # raised again by the parent
+                        result = e
+                    data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+                    with os.fdopen(w, "wb") as f:
+                        f.write(data)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb"), rows))
+        draw(shares[0][0])
+        for pid, f, rows in children:
+            try:
+                result = pickle.load(f)
+            except (EOFError, pickle.UnpicklingError):
+                raise TrieMomentsError(
+                    f"worker process {pid} (trials {rows.start}.."
+                    f"{rows.stop - 1}) ended without a result") from None
+            if isinstance(result, BaseException):
+                raise result
+            out[rows] = result
+    except BaseException:
+        from signal import SIGKILL      # imported on failure only
+        for pid, _, _ in children:
+            os.kill(pid, SIGKILL)
+        raise
+    finally:
+        for pid, f, _ in children:
+            f.close()
+            os.waitpid(pid, 0)
 
 
 def _centre(x: np.ndarray):
@@ -124,7 +218,12 @@ def _centre(x: np.ndarray):
     y -= np.rint(mean)[:, None]
     y -= (y.sum(axis=1) / m)[:, None]
     m2 = np.array([[(a * b).sum() for b in y] for a in y])
-    m3, m4 = (np.array([(r ** e).sum() for r in y]) / m for e in (3, 4))
+    m3, m4 = np.empty((2, len(y)))
+    for i, r in enumerate(y):   # products, not r ** 3 and r ** 4
+        r2 = r * r
+        m4[i] = (r2 * r2).sum() / m
+        r2 *= r
+        m3[i] = r2.sum() / m
     var = np.diag(m2) / m
     with np.errstate(invalid="ignore", divide="ignore"):
         return mean, y, m2, m3 / var ** 1.5, m4 / var ** 2 - 3.0

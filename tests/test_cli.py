@@ -563,6 +563,51 @@ def test_exact_solve_refused_before_sampling(monkeypatch, capsys):
     assert err.startswith("work budget exceeded: "), err
 
 
+# Runs the CLI with sys.argv[1:], seeing two CPUs, with module.name
+# replaced in the forked sampler workers by a function whose body is
+# ``action``; exits 99 if a child process is left afterwards.
+_FAULTY_WORKERS = """
+import os, sys
+from triemoments import cli, mc, trie
+real, parent = {module}.{name}, os.getpid()
+
+def faulty(*args):
+    if os.getpid() == parent:
+        return real(*args)
+    {action}
+
+{module}.{name} = faulty
+mc._cpus = lambda: 2
+code = cli.main(sys.argv[1:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    code = 99
+except ChildProcessError:
+    pass
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("module, name, action, err", [
+    ("trie", "_default_max_depth", "return 3",
+     "numeric error: splitting recursion past depth 3 at n=1000, p=0.3\n"),
+    ("mc", "sample_shapes", "os._exit(1)",
+     "numeric error: worker process "),
+])
+def test_worker_failure_exits_3(module, name, action, err):
+    # simulate at 3.2e6 keys draws in two processes; a worker's exception,
+    # or a worker that ends without a result, exits 3 at once with no
+    # traceback and no child left
+    script = _FAULTY_WORKERS.format(module=module, name=name, action=action)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "simulate", "--p", "0.3", "--n",
+         "1000", "--trials", "3200", "--seed", "4"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(err), proc.stderr
+
+
 def test_compare_past_30000_rows_matches_exact_at(capsys):
     # compare reads its exact columns from the rows exact --at prints, also
     # past 30,000 rows, at full float precision

@@ -1,17 +1,19 @@
 import json
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import assert_close, table, two_key_oracle
-from triemoments import (DegenerateVariance, NotPositiveDefinite,
+from triemoments import (DegenerateVariance, DepthGuardExceeded,
+                         NotPositiveDefinite, TrieMomentsError,
                          WorkBudgetExceeded, run, whiten, joint_histogram)
-from triemoments.mc import (_MAX_KEYS, _MAX_LEVELS, _batch_height,
-                            _batch_size, ks_normal,
+from triemoments.mc import (_MAX_KEYS, _MAX_LEVELS, _WORKER_KEYS,
+                            _batch_height, _batch_size, ks_normal,
                             marginal_diagnostics, sample_matrix, summary)
-from triemoments.trie import sample_shapes, trial_rng
+from triemoments.trie import _default_max_depth, sample_shapes, trial_rng
 
 
 def assert_plain(doc):
@@ -226,6 +228,9 @@ def test_sample_matrix_call_bounds(monkeypatch, n, trials):
         calls.append(list(counts))
         return sample_shapes(n, p, counts, rngs)
 
+    # below the worker threshold the calls stay in this process, where the
+    # recorder sees every one of them
+    assert n * trials < _WORKER_KEYS
     monkeypatch.setattr("triemoments.mc.sample_shapes", recording)
     sample_matrix(n, 0.5, trials, seed=2)
     g = _batch_size(n)
@@ -234,6 +239,101 @@ def test_sample_matrix_call_bounds(monkeypatch, n, trials):
     for counts in calls:
         assert n * sum(counts) <= 2 ** 17 and sum(counts) <= 1024, counts
     assert max(map(len, calls)) == (1 if n <= 100 else 2 if n < 40_000 else 3)
+
+
+# 3.2e6 keys in calls of two batches of G = 65 tries: up to three workers,
+# and a last batch of 15 tries
+_WORKER_SHAPE = (1000, 0.3, 3200)
+
+
+def _workers(monkeypatch, cpus):
+    """Let sample_matrix see ``cpus`` CPUs; returns the pids it forks."""
+    monkeypatch.setattr("triemoments.mc._cpus", lambda: cpus)
+    forked, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forked
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _in_children(real, fault):
+    """``real`` in this process, ``fault`` in the processes it forks."""
+    parent = os.getpid()
+    return lambda *a: real(*a) if os.getpid() == parent else fault(*a)
+
+
+def test_sample_matrix_rows_equal_for_every_worker_count(monkeypatch):
+    # the calls are split over forked workers, and every row is the same for
+    # any number of them; each worker draws 2**20 keys of the run at least
+    n, p, trials = _WORKER_SHAPE
+    g = _batch_size(n)
+    assert n * trials >= 3 * _WORKER_KEYS and trials % g == 15
+    rows = {}
+    for k in (1, 2, 3):
+        forked = _workers(monkeypatch, k)
+        rows[k] = sample_matrix(n, p, trials, seed=4)
+        assert len(forked) == k - 1
+        _no_child_left()
+    assert all(np.array_equal(rows[1], rows[k]) for k in (2, 3))
+    last = sample_shapes(n, p, [15], [trial_rng(4, trials // g)])[:, :3]
+    assert np.array_equal(rows[3][-15:], last)
+    # one worker per 2**20 keys: a smaller run is drawn here alone
+    forked = _workers(monkeypatch, 3)
+    sample_matrix(n, p, _WORKER_KEYS // n, seed=4)
+    assert forked == []
+
+
+def test_worker_exception_raised_unchanged(monkeypatch):
+    # DepthGuardExceeded in a worker is raised here with its own message
+    n, p, trials = _WORKER_SHAPE
+    monkeypatch.setattr("triemoments.trie._default_max_depth",
+                        _in_children(_default_max_depth, lambda n, p: 3))
+    forked = _workers(monkeypatch, 3)
+    with pytest.raises(DepthGuardExceeded) as e:
+        sample_matrix(n, p, trials, seed=4)
+    assert str(e.value) == f"splitting recursion past depth 3 at n={n}, p={p}"
+    assert len(forked) == 2
+    _no_child_left()
+
+
+def test_worker_without_result(monkeypatch):
+    # a worker that ends without sending its rows is an error naming it
+    n, p, trials = _WORKER_SHAPE
+
+    def dying(*a):
+        os._exit(1)
+
+    monkeypatch.setattr("triemoments.mc.sample_shapes",
+                        _in_children(sample_shapes, dying))
+    forked = _workers(monkeypatch, 2)
+    with pytest.raises(TrieMomentsError) as e:
+        sample_matrix(n, p, trials, seed=4)
+    # 25 calls of two batches: this process draws the first 12 (1560 trials)
+    assert str(e.value) == (f"worker process {forked[0]} (trials 1560..3199) "
+                            "ended without a result")
+    _no_child_left()
+
+
+def test_failure_here_kills_workers(monkeypatch):
+    # an exception in this process's own share kills and reaps the workers
+    n, p, trials = _WORKER_SHAPE
+    monkeypatch.setattr("triemoments.trie._default_max_depth",
+                        _in_children(lambda n, p: 3, _default_max_depth))
+    forked = _workers(monkeypatch, 3)
+    with pytest.raises(DepthGuardExceeded):
+        sample_matrix(n, p, trials, seed=4)
+    assert len(forked) == 2
+    _no_child_left()
 
 
 def test_work_budget_refuses_before_drawing(monkeypatch):
