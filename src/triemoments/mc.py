@@ -1,28 +1,24 @@
 """Monte-Carlo estimation of trie shape moments, whitening and diagnostics.
 
-Trials are drawn in batches of G(n) = clamp(2**16 // n, 1, 1024) consecutive
-trials, so a batch holds about 2**16 keys.  Batch b covers trials
-[b*G, (b+1)*G) and draws all of them from its own counter-derived stream
-``trie.trial_rng(seed, b)``.  The batch is the stream unit: a sample matrix
-of k*G trials is a prefix of any longer one with the same seed, and a last,
-shorter batch is drawn with fewer tries from its stream.  Consecutive
-batches share one ``trie.sample_shapes`` call, up to ``_CALL_KEYS`` = 2**17
-keys and ``_MAX_BATCH`` tries a call (one batch at least), so they share the
-sampler's level loop while each still draws from its own stream; this
-bounds a call's memory and changes no sample.  The calls are split into k
-contiguous shares, one per worker process: this process draws the first
-share, and k - 1 ``os.fork`` children draw the others and send their rows
-back through pipes, so k changes no sample either.  k is one per CPU
-(``os.sched_getaffinity``), at most one per call, at most one per
-``_WORKER_KEYS`` = 2**20 keys of the run (about 0.15 s of drawing against
-a fork round trip of about 6 ms), and few enough that k calls together hold
-at most ``_MAX_KEYS`` keys.  So small runs, and runs pinned to one CPU
-(``taskset -c 0``), draw in this process alone.  Before drawing, ``check``
-refuses n < 2, too few trials, a bad p or a seed outside [0, 2**128) with
-ValueError, and with WorkBudgetExceeded a run whose batches would hold a
-trie of more than ``_MAX_KEYS`` keys or run for more than ``_MAX_LEVELS``
-levels; ``whiten`` and the CLI's ``compare`` call it before they solve an
-exact row.
+Trials are drawn in batches of G(n) = clamp(2**17 // n, 1, 1024) consecutive
+trials, so a batch holds about 2**17 keys.  Batch b covers trials
+[b*G, (b+1)*G) and draws all of them in one ``trie.sample_shapes`` call from
+its own counter-derived stream ``trie.trial_rng(seed, b)``.  The batch is
+the stream unit: a sample matrix of k*G trials is a prefix of any longer one
+with the same seed, and a last, shorter batch is drawn with fewer tries from
+its stream.  The batches are split into k contiguous shares, one per worker
+process: this process draws the first share, and k - 1 ``os.fork``
+children draw the others and send their rows back through pipes, so k
+changes no sample.  k is one per CPU (``os.sched_getaffinity``), at most
+one per batch, at most one per ``_WORKER_KEYS`` = 2**20 keys of the run
+(about 0.15 s of drawing against a fork round trip of about 6 ms), and few
+enough that k batches together hold at most ``_MAX_KEYS`` keys.  So small
+runs, and runs pinned to one CPU (``taskset -c 0``), draw in this process
+alone.  Before drawing, ``check`` refuses n < 2, too few trials, a bad p or
+a seed outside [0, 2**128) with ValueError, and with WorkBudgetExceeded a
+run whose batches would hold a trie of more than ``_MAX_KEYS`` keys or run
+for more than ``_MAX_LEVELS`` levels; ``whiten`` and the CLI's ``compare``
+call it before they solve an exact row.
 
 Every command reduces the full sample matrix (trials x 3 int64, 24 B per
 trial) once, through one centring helper: ``summary`` (and ``run``, its
@@ -46,16 +42,15 @@ from .asym import SymMatrix2, invsqrt2
 from .errors import DegenerateVariance, TrieMomentsError, WorkBudgetExceeded
 from .trie import _alias_tables, check_seed, sample_shapes, trial_rng
 
-_BATCH_KEYS = 2 ** 16
+_BATCH_KEYS = 2 ** 17
 _MAX_BATCH = 1024
-_CALL_KEYS = 2 ** 17     # keys one sample_shapes call draws, over its batches
 _SQRT2 = math.sqrt(2.0)
 # Budget of one batch.  Its memory follows its widest level, about 15 B a
 # key at p = 1/2 (less at skewed p), so 2**24 keys take about 240 MiB.  The
-# worker processes' calls hold at most _MAX_KEYS keys together, so a run of
-# several workers stays within the same memory.  Its time at tiny p follows
-# its height: a level costs 60-120 us (2-core box, n = 2..1e5, p = 1e-4 and
-# 1e-3), so 1e6 levels take one to two minutes.
+# worker processes' batches hold at most _MAX_KEYS keys together, so a run
+# of several workers stays within the same memory.  Its time at tiny p
+# follows its height: a level costs 60-120 us (2-core box, n = 2..1e5,
+# p = 1e-4 and 1e-3), so 1e6 levels take one to two minutes.
 _MAX_KEYS = 2 ** 24
 _MAX_LEVELS = 10 ** 6
 _WORKER_KEYS = 2 ** 20   # keys of the run per worker process, at least
@@ -66,7 +61,7 @@ _WORKER_KEYS = 2 ** 20   # keys of the run per worker process, at least
 # ---------------------------------------------------------------------------
 
 def _batch_size(n: int) -> int:
-    """Trials per batch, G(n) = clamp(2**16 // n, 1, 1024)."""
+    """Trials per batch, G(n) = clamp(2**17 // n, 1, 1024)."""
     return min(max(_BATCH_KEYS // max(n, 1), 1), _MAX_BATCH)
 
 
@@ -110,34 +105,29 @@ def _cpus() -> int:
 def sample_matrix(n: int, p: float, trials: int, seed: int) -> np.ndarray:
     """(trials, 3) matrix of (S, K, N) samples, deterministic per seed.
 
-    ``check``s its inputs with a floor of 2 trials, then draws consecutive
-    batches together, as many per ``sample_shapes`` call as keep the call
-    within _CALL_KEYS keys and _MAX_BATCH tries (one batch at least).  The
-    calls are split into k contiguous shares, k = max(1, min(CPUs, calls,
-    trials n // _WORKER_KEYS, _MAX_KEYS // keys a call)), drawn by
-    ``_draw_forked``; every row is the same for every k.
+    ``check``s its inputs with a floor of 2 trials, then draws each batch
+    with one ``sample_shapes`` call.  The batches are split into k
+    contiguous shares, k = max(1, min(CPUs, batches, trials n //
+    _WORKER_KEYS, _MAX_KEYS // keys a batch)), drawn by ``_draw_forked``;
+    every row is the same for every k.
     """
     check(n, p, trials, seed, 2)
     g = _batch_size(n)
-    per_call = max(min(_CALL_KEYS // (g * n), _MAX_BATCH // g), 1)
     batches = -(-trials // g)
-    starts = range(0, batches, per_call)    # first batch of each call
-    k = max(1, min(_cpus(), len(starts), trials * n // _WORKER_KEYS,
-                   _MAX_KEYS // (per_call * g * n)))
+    k = max(1, min(_cpus(), batches, trials * n // _WORKER_KEYS,
+                   _MAX_KEYS // (g * n)))
     out = np.empty((trials, 3), dtype=np.int64)
 
     def draw(share):
-        for b0 in share:
-            group = range(b0, min(b0 + per_call, batches))
-            counts = [min(g, trials - b * g) for b in group]
-            rows = sample_shapes(n, p, counts,
-                                 [trial_rng(seed, b) for b in group])
-            out[b0 * g:b0 * g + len(rows)] = rows[:, :3]
+        for b in share:
+            rows = sample_shapes(n, p, min(g, trials - b * g),
+                                 trial_rng(seed, b))
+            out[b * g:b * g + len(rows)] = rows[:, :3]
 
     shares = []
     for i in range(k):
-        share = starts[i * len(starts) // k:(i + 1) * len(starts) // k]
-        rows = slice(share[0] * g, min((share[-1] + per_call) * g, trials))
+        share = range(i * batches // k, (i + 1) * batches // k)
+        rows = slice(share.start * g, min(share.stop * g, trials))
         shares.append((share, rows))
     _alias_tables(p)    # built before any fork, so the workers inherit it
     _draw_forked(out, draw, shares)
@@ -293,8 +283,10 @@ def whiten(n: int, p: float, trials: int, seed: int = 0,
     estimates both from the trials themselves; source="asymptotic" uses the
     fluctuation-sum matrix (p = 1/2 only) with sample means for centering,
     since mean-level fluctuation constants are out of scope.  The inputs
-    are ``check``ed, and the exact or asymptotic matrix formed, before any
-    trie is drawn, so a refused solve costs no Monte-Carlo work.
+    are ``check``ed, and the exact or asymptotic matrix solved and its
+    inverse square root formed, before any trie is drawn, so a refused
+    solve or a singular matrix (NotPositiveDefinite, as at n = 2, where
+    K = 2S) costs no Monte-Carlo work.
     """
     if source not in ("exact", "sample", "asymptotic"):
         raise ValueError("source must be exact, sample or asymptotic")
@@ -305,6 +297,8 @@ def whiten(n: int, p: float, trials: int, seed: int = 0,
         sigma = SymMatrix2(a=table.var_S(n), b=table.cov_SK(n), c=table.var_K(n))
     elif source == "asymptotic":
         sigma = asym.sigma_matrix(asym.params(p), n)
+    if source != "sample":
+        w = invsqrt2(sigma)  # NotPositiveDefinite propagates (e.g. n=2 exact)
     x = sample_matrix(n, p, trials, seed)[:, :2]
     if source != "exact":
         mean, _, m2, _, _ = _centre(x)
@@ -312,7 +306,7 @@ def whiten(n: int, p: float, trials: int, seed: int = 0,
     if source == "sample":
         cov = m2 / (trials - 1)
         sigma = SymMatrix2(a=cov[0, 0], b=cov[0, 1], c=cov[1, 1])
-    w = invsqrt2(sigma)  # NotPositiveDefinite propagates (e.g. n=2 sample)
+        w = invsqrt2(sigma)
     y = w.apply(x - np.array(center))
     wcov = (y.T @ y) / (trials - 1)
     skew, kurt, edf = zip(*(marginal_diagnostics(col) for col in y.T))

@@ -14,8 +14,7 @@ Two routes give them, both as (count, 4) int64 rows of a batch of tries.
 subtree sizes level by level, in O(size) time per trie and without storing
 keys.  A subtree of at most ``_SMALL`` keys draws its split from a Walker
 alias table with one uniform, a larger one from ``rng.binomial``.  One call
-splits the tries of several streams in one level loop, each stream drawing
-from its own Generator exactly what it would draw alone.
+draws all its tries from one Generator, in one level loop.
 ``key_shapes`` measures the tries of explicit key prefixes, such as those of
 ``sample_keys``, from the common-prefix lengths of their sorted keys; the
 tests check the sampler against it.  Draws are deterministic given their
@@ -181,53 +180,41 @@ def _alias_split(m: np.ndarray, u: np.ndarray, prob: np.ndarray,
     return out
 
 
-def sample_shapes(n: int, p: float, counts, rngs) -> np.ndarray:
-    """Sample independent tries of n keys with the exact trie law, stream s
-    drawing ``counts[s]`` tries from the Generator ``rngs[s]``.
+def sample_shapes(n: int, p: float, count: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Sample ``count`` independent tries of n keys with the exact trie law,
+    drawn from the Generator ``rng``.
 
-    Returns a (sum(counts), 4) int64 array with columns size, kpl, npl,
-    height, in which stream s owns counts[s] consecutive rows.
-    Level-synchronous splitting of every trie of every stream at once: each
-    depth draws one uniform per internal node, and a node of m <= _SMALL
-    keys gets its left-subtree size from the Walker alias table of
-    Binomial(m, p) (``_alias_tables``, cached per p; Devroye 1986, III.4).
-    Only nodes with more keys go through ``rng.binomial``.  A stream's
-    nodes stay contiguous, so at each depth stream s fills its slice of the
-    level's uniforms with one ``rngs[s].random`` call and then, while it
-    has nodes of more than _SMALL keys, makes one ``rngs[s].binomial`` call
-    over them; the alias split and the bookkeeping run once for the whole
-    level.  Each stream thus draws exactly what it draws alone, and the
-    rows of k streams equal those of k one-stream calls bitwise.  Each
-    trie's nodes stay contiguous too, with the children of a node
-    interleaved left then right, so a trie's share of a level is one slice
-    between trie boundaries.  The path lengths use K = sum over internal
-    nodes of their key counts (a key's depth is its number of internal
-    ancestors), and a trie's height is the number of depths at which it has
-    an internal node.  A trie deeper than
+    Returns a (count, 4) int64 array with columns size, kpl, npl, height.
+    Level-synchronous splitting of every trie at once: each depth draws one
+    uniform per internal node with one ``rng.random`` call, and a node of
+    m <= _SMALL keys gets its left-subtree size from the Walker alias table
+    of Binomial(m, p) (``_alias_tables``, cached per p; Devroye 1986,
+    III.4).  While nodes with more keys are left, the depth also makes one
+    ``rng.binomial`` call over them.  Each trie's nodes stay contiguous,
+    with the children of a node interleaved left then right, so a trie's
+    share of a level is one slice between trie boundaries.  The path
+    lengths use K = sum over internal nodes of their key counts (a key's
+    depth is its number of internal ancestors), and a trie's height is the
+    number of depths at which it has an internal node.  A trie deeper than
     ``_default_max_depth(n, p)``, an event of probability about e^-40,
     raises DepthGuardExceeded.
     """
     _canonical(p)
     if not 0 <= n < 2 ** 31:    # key counts are carried as int32
         raise ValueError("n must be in [0, 2**31)")
-    if len(counts) != len(rngs):
-        raise ValueError("counts and rngs must have the same length")
-    if min(counts, default=0) < 0:
-        raise ValueError("counts must be >= 0")
-    # stream s owns tries first[s]:first[s+1]
-    first = np.zeros(len(counts) + 1, dtype=np.intp)
-    np.cumsum(counts, out=first[1:])
-    total = int(first[-1])
-    out = np.zeros((total, 4), dtype=np.int64)
-    if n <= 1 or total == 0:
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    out = np.zeros((count, 4), dtype=np.int64)
+    if n <= 1 or count == 0:
         return out
     guard = _default_max_depth(n, p)
-    active = np.full(total, n, dtype=np.int32)   # keys under internal nodes
+    active = np.full(count, n, dtype=np.int32)   # keys under internal nodes
     # ends[t+1]: internal nodes of tries 0..t at this depth and ends[0] = 0,
     # so trie t owns active[ends[t]:ends[t+1]].  Each depth adds its per-trie
-    # node and key counts into total-sized sums, so memory does not grow
+    # node and key counts into count-sized sums, so memory does not grow
     # with the depth.
-    ends = np.arange(total + 1)
+    ends = np.arange(count + 1)
     size, kpl, npl, height = out.T
     prob, alias = _alias_tables(p)
     big = n > _SMALL    # subtree sizes only shrink with depth
@@ -236,19 +223,12 @@ def sample_shapes(n: int, p: float, counts, rngs) -> np.ndarray:
         if d > guard:
             raise DepthGuardExceeded(
                 f"splitting recursion past depth {guard} at n={n}, p={p}")
-        cuts = ends.take(first).tolist()    # stream s owns cuts[s]:cuts[s+1]
-        u = np.empty(active.size)
-        for rng, a, b in zip(rngs, cuts, cuts[1:]):
-            if a < b:
-                rng.random(out=u[a:b])
+        u = rng.random(active.size)
         left = _alias_split(active, u, prob, alias)
         if big:
             at = np.flatnonzero(active > _SMALL)
+            left[at] = rng.binomial(active.take(at), p)
             big = at.size > 0
-            cut = np.searchsorted(at, cuts).tolist()
-            for rng, a, b in zip(rngs, cut, cut[1:]):
-                if a < b:
-                    left[at[a:b]] = rng.binomial(active.take(at[a:b]), p)
         children = np.empty(2 * active.size, dtype=np.int32)
         children[0::2] = left
         np.subtract(active, left, out=children[1::2])

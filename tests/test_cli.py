@@ -1,5 +1,8 @@
+import collections
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -517,6 +520,114 @@ def test_bad_input_fails_fast(args, code):
     elif "30000" in args or "20000" in args:
         least = 2 if args[0] == "whiten" else 100
         assert f"trials must be >= {least}" in proc.stderr, proc.stderr
+
+
+def _fuzz_cases(rng, count, missing_dir):
+    """``count`` random command lines of every command.
+
+    p is log-uniform in its distance to the nearer end, from 1e-12 (1e-3
+    for a Monte-Carlo run) to 1/2, or 1/2 itself.  Integer flags come from
+    their edges -1, 0, 1, 2, from past their caps (the exact work budget at
+    any p, --kmax 100, --points 10,000, the 2**128 seeds) or from a typical
+    range.  The Monte-Carlo level budget admits runs of minutes (10**6
+    levels at 60-120 us each), so a Monte-Carlo run whose batches are
+    expected to take more than 10**4 levels in all is drawn again; a fifth
+    of the Monte-Carlo cases are at p in [1e-12, 1e-7] instead, which that
+    budget refuses at once.  One case in ten writes --out into a missing
+    directory (exit 4 where the command succeeds).
+    """
+    def p_value(lo, hi=0.5):
+        u = 10 ** rng.uniform(math.log10(lo), math.log10(hi))
+        return u if rng.random() < 0.5 else 1.0 - u
+
+    def integer(low, high, caps=()):
+        r = rng.random()
+        if r < 0.15:
+            return rng.choice((-1, 0, 1, 2))
+        if r < 0.25 and caps:
+            return rng.choice(caps)
+        return rng.randint(low, high)
+
+    def rows():     # 2**22 rows take 256 MiB of moments, above the budget
+        return ",".join(str(integer(3, 1024, (4_194_304, 10 ** 12)))
+                        for _ in range(rng.randint(1, 3)))
+
+    def levels(n, p, trials):
+        if n < 2 or trials < 2:
+            return 0.0
+        g = min(mc._batch_size(n), trials)
+        return -(-trials // g) * mc._batch_height(n, p, g)
+
+    cases = []
+    for _ in range(count):
+        cmd = rng.choice(["exact", "exact --at", "asym", "asym --emit-F",
+                          "compare", "simulate", "whiten", "hist",
+                          "compare --trials"])
+        args = cmd.split()[:1] + ["--p"]
+        half = rng.random() < 0.15
+        if cmd in ("simulate", "whiten", "hist", "compare --trials"):
+            refused = rng.random() < 0.2
+            while True:
+                p = (p_value(1e-12, 1e-7) if refused else 0.5 if half
+                     else p_value(1e-3))
+                n = integer(3, 2000)
+                trials = integer(3, 400, (99, 100, 400))
+                if refused or levels(n, p, trials) <= 1e4:
+                    break
+            seed = integer(3, 2 ** 64, (2 ** 128 - 1, 2 ** 128))
+            args += [repr(p), "--trials", str(trials), "--seed", str(seed)]
+            args += (["--n-grid", str(n)] if cmd == "compare --trials"
+                     else ["--n", str(n)])
+            if cmd == "whiten":
+                args += ["--source",
+                         rng.choice(["exact", "sample", "asymptotic"])]
+            elif cmd == "hist":
+                args += ["--bins", str(rng.choice(
+                    (-1, 0, 9, 10, 50, trials, trials + 1)))]
+        else:
+            args.append(repr(0.5 if half else p_value(1e-12)))
+            if cmd == "exact":  # 300,000 rows are above the budget at any p
+                args += ["--nmax", str(integer(3, 1024, (300_000, 4_194_304)))]
+            elif cmd == "exact --at":
+                args += ["--at", rows()]
+            elif cmd == "compare":
+                args += ["--n-grid", rows()]
+            else:
+                args += ["--kmax", str(integer(3, 52, (100, 101)))]
+                if cmd == "asym --emit-F":
+                    args += ["--emit-F",
+                             "--points", str(integer(3, 512, (10_000, 10_001)))]
+                elif rng.random() < 0.2:
+                    args += rng.choice([["--irrational"], ["--ratio", "2/1"],
+                                        ["--ratio", "0/1"], ["--ratio", "x"]])
+            if args[0] != "asym" and rng.random() < 0.3:
+                args += ["--precision", "extended"]
+        args += ["--format", rng.choice(["csv", "json"])]
+        if rng.random() < 0.1:
+            args += ["--out", str(missing_dir / "out")]
+        cases.append(args)
+    return cases
+
+
+def test_cli_fuzz(capsys, tmp_path):
+    # every input ends in a documented exit code, with no traceback and
+    # within a few seconds
+    seen = collections.Counter()
+    begin = time.perf_counter()
+    for args in _fuzz_cases(random.Random(20), 100, tmp_path / "missing"):
+        start = time.perf_counter()
+        try:
+            code = main(args)
+        except Exception as e:
+            pytest.fail(f"{' '.join(args)}: {e!r}")
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), (args, code, err)
+        assert "Traceback" not in err, (args, err)
+        assert elapsed < 3.0, (args, elapsed)
+        seen[code] += 1
+    assert time.perf_counter() - begin < 10.0
+    assert all(seen[code] for code in (0, 2, 3)), seen
 
 
 @pytest.mark.parametrize("args, least", [

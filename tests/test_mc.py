@@ -154,6 +154,17 @@ class TestWhiten:
         with pytest.raises(NotPositiveDefinite):
             whiten(2, 0.5, 500, seed=1, source="sample")
 
+    def test_singular_exact_matrix_refused_before_drawing(self, monkeypatch):
+        # the exact matrix at n = 2 is singular too, and is refused before
+        # any trie is drawn, also where drawing takes seconds (p near 1)
+        def no_draws(*args):
+            raise AssertionError("sampled before forming the whitening")
+
+        monkeypatch.setattr("triemoments.mc.sample_matrix", no_draws)
+        for p in (0.5, 0.1, 0.999983782445625):
+            with pytest.raises(NotPositiveDefinite):
+                whiten(2, p, 287, seed=1, source="exact")
+
     def test_bad_source(self):
         with pytest.raises(ValueError):
             whiten(64, 0.5, 500, seed=1, source="magic")
@@ -207,26 +218,33 @@ class TestHistogram:
 def test_sample_matrix_chunk_invariance():
     # batch b holds trials [b*G, (b+1)*G) and draws them together from
     # stream b, so a whole number of batches is a prefix of any longer
-    # sample; G = 1024 at n = 32 and 655 at n = 100
-    for n in (32, 100):
+    # sample; G = 1024 at n = 32 and 100, 13 at n = 10,000 and 1 at
+    # n = 100,000
+    for n in (32, 100, 10_000, 100_000):
         g = _batch_size(n)
-        x = sample_matrix(n, 0.4, 2 * g + 5, seed=3)
-        for b, count in ((0, g), (1, g), (2, 5)):
-            want = sample_shapes(n, 0.4, [count], [trial_rng(3, b)])[:, :3]
+        trials = 2 * g + 5
+        x = sample_matrix(n, 0.4, trials, seed=3)
+        for b in range(-(-trials // g)):
+            count = min(g, trials - b * g)
+            want = sample_shapes(n, 0.4, count, trial_rng(3, b))[:, :3]
             assert np.array_equal(x[b * g:b * g + count], want), (n, b)
         assert np.array_equal(sample_matrix(n, 0.4, 2 * g, seed=3), x[:2 * g])
+
+
+def _counter(rng):
+    return rng.bit_generator.state["state"]["counter"].tolist()
 
 
 @pytest.mark.parametrize("n, trials", [(16, 2100), (100, 1400), (1000, 300),
                                        (10_000, 27), (40_000, 7)])
 def test_sample_matrix_call_bounds(monkeypatch, n, trials):
-    # consecutive batches share a sample_shapes call, within 2**17 keys and
-    # 1024 tries a call; each batch keeps its G tries (fewer in the last)
+    # batch b is one sample_shapes call of G tries (fewer in the last), at
+    # most 2**17 keys and 1024 tries, drawn from stream b
     calls = []
 
-    def recording(n, p, counts, rngs):
-        calls.append(list(counts))
-        return sample_shapes(n, p, counts, rngs)
+    def recording(n, p, count, rng):
+        calls.append((count, _counter(rng)))
+        return sample_shapes(n, p, count, rng)
 
     # below the worker threshold the calls stay in this process, where the
     # recorder sees every one of them
@@ -234,16 +252,15 @@ def test_sample_matrix_call_bounds(monkeypatch, n, trials):
     monkeypatch.setattr("triemoments.mc.sample_shapes", recording)
     sample_matrix(n, 0.5, trials, seed=2)
     g = _batch_size(n)
-    batches = [c for counts in calls for c in counts]
-    assert batches == [g] * (trials // g) + ([trials % g] if trials % g else [])
-    for counts in calls:
-        assert n * sum(counts) <= 2 ** 17 and sum(counts) <= 1024, counts
-    assert max(map(len, calls)) == (1 if n <= 100 else 2 if n < 40_000 else 3)
+    assert n * g <= 2 ** 17 and g <= 1024
+    counts = [g] * (trials // g) + ([trials % g] if trials % g else [])
+    assert calls == [(c, _counter(trial_rng(2, b)))
+                     for b, c in enumerate(counts)]
 
 
-# 3.2e6 keys in calls of two batches of G = 65 tries: up to three workers,
-# and a last batch of 15 tries
-_WORKER_SHAPE = (1000, 0.3, 3200)
+# 3.159e6 keys in batches of G = 131 tries: up to three workers, and a last
+# batch of 15 tries
+_WORKER_SHAPE = (1000, 0.3, 3159)
 
 
 def _workers(monkeypatch, cpus):
@@ -285,7 +302,7 @@ def test_sample_matrix_rows_equal_for_every_worker_count(monkeypatch):
         assert len(forked) == k - 1
         _no_child_left()
     assert all(np.array_equal(rows[1], rows[k]) for k in (2, 3))
-    last = sample_shapes(n, p, [15], [trial_rng(4, trials // g)])[:, :3]
+    last = sample_shapes(n, p, 15, trial_rng(4, trials // g))[:, :3]
     assert np.array_equal(rows[3][-15:], last)
     # one worker per 2**20 keys: a smaller run is drawn here alone
     forked = _workers(monkeypatch, 3)
@@ -318,8 +335,8 @@ def test_worker_without_result(monkeypatch):
     forked = _workers(monkeypatch, 2)
     with pytest.raises(TrieMomentsError) as e:
         sample_matrix(n, p, trials, seed=4)
-    # 25 calls of two batches: this process draws the first 12 (1560 trials)
-    assert str(e.value) == (f"worker process {forked[0]} (trials 1560..3199) "
+    # 25 batches: this process draws the first 12 (1572 trials)
+    assert str(e.value) == (f"worker process {forked[0]} (trials 1572..3158) "
                             "ended without a result")
     _no_child_left()
 
@@ -363,7 +380,7 @@ def test_batch_height_estimate_tracks_sampler(n, p):
     # the level budget rests on this estimate: a batch's height is the
     # longest prefix shared by any of its g n(n-1)/2 key pairs
     g = _batch_size(n)
-    height = sample_shapes(n, p, [g], [trial_rng(5, 0)])[:, 3].max()
+    height = sample_shapes(n, p, g, trial_rng(5, 0))[:, 3].max()
     assert 0.7 < height / _batch_height(n, p, g) < 1.5
 
 

@@ -127,7 +127,7 @@ class TestSampleKeys:
 
 def shape_row(n, p, seed):
     """One trie drawn by ``sample_shapes`` from stream ``trial_rng(seed, 0)``."""
-    return sample_shapes(n, p, [1], [trial_rng(seed, 0)])[0]
+    return sample_shapes(n, p, 1, trial_rng(seed, 0))[0]
 
 
 class TestSampleShape:
@@ -143,8 +143,8 @@ class TestSampleShape:
         # with two keys both externals sit at the bottom of a path: K = 2S
         for p in (0.2, 0.5, 0.8):
             for t in range(200):
-                size, kpl, npl, height = sample_shapes(2, p, [1],
-                                                       [trial_rng(17, t)])[0]
+                size, kpl, npl, height = sample_shapes(2, p, 1,
+                                                       trial_rng(17, t))[0]
                 assert kpl == 2 * size
                 assert npl == size * (size - 1) // 2
                 assert height == size
@@ -152,7 +152,7 @@ class TestSampleShape:
     def test_two_keys_mean_size(self):
         # E S_2 = 1/(2pq): geometric common-prefix oracle
         trials = 20_000
-        mean = sample_shapes(2, 0.5, [trials], [trial_rng(23, 0)])[:, 0].mean()
+        mean = sample_shapes(2, 0.5, trials, trial_rng(23, 0))[:, 0].mean()
         var = two_key_oracle(0.5)["VarS"]
         se = math.sqrt(var / trials)
         assert_close(mean, 2.0, atol=3 * se, msg="E S_2 at p=1/2")
@@ -181,49 +181,20 @@ class TestSampleShape:
 def test_sample_shapes_invariants(n, p, count, seed):
     # every row is a trie over n keys: at least n - 1 binary branchings and
     # a depth that can hold n leaves; two keys hang off a unary path
-    x = sample_shapes(n, p, [count], [trial_rng(seed, 0)])
+    x = sample_shapes(n, p, count, trial_rng(seed, 0))
     assert x.shape == (count, 4) and x.dtype == np.int64
     size, kpl, npl, height = x.T
     assert (size >= n - 1).all()
     assert (height >= math.ceil(math.log2(n))).all()
-    y = sample_shapes(2, p, [count], [trial_rng(seed, 1)])
+    y = sample_shapes(2, p, count, trial_rng(seed, 1))
     assert (y[:, 1] == 2 * y[:, 0]).all()
     assert (y[:, 3] == y[:, 0]).all()
 
 
-@pytest.mark.parametrize("n, p, counts", [
-    (100, 0.4, [7, 7, 3]),          # a short last batch
-    (300, 0.5, [5, 0, 4, 0]),       # streams with no tries
-    (3000, 0.02, [1, 1, 1, 1, 1]),  # one trie a stream, of unequal heights
-    (10_000, 0.1, [6, 6, 6]),       # the whiten-p01 batches, G = 6
-])
-def test_sample_shapes_streams_equal_one_stream_calls(n, p, counts):
-    # each stream draws in one call with others exactly what it draws alone
-    rngs = [trial_rng(41, s) for s in range(len(counts))]
-    x = sample_shapes(n, p, counts, rngs)
-    alone = [sample_shapes(n, p, [c], [trial_rng(41, s)])
-             for s, c in enumerate(counts)]
-    assert x.dtype == np.int64
-    assert np.array_equal(x, np.concatenate(alone)), (n, p, counts)
-    if p == 0.02:     # the streams leave the level loop at different depths
-        assert len(set(x[:, 3].tolist())) > 1
-
-
-def test_sample_shapes_checks_its_streams():
-    with pytest.raises(ValueError, match="same length"):
-        sample_shapes(10, 0.5, [1, 2], [trial_rng(0, 0)])
-    with pytest.raises(ValueError, match="counts must be >= 0"):
-        sample_shapes(10, 0.5, [2, -1], [trial_rng(0, 0), trial_rng(0, 1)])
-    assert sample_shapes(10, 0.5, [], []).shape == (0, 4)
-    assert sample_shapes(10, 0.5, [0, 0], [trial_rng(0, 0),
-                                           trial_rng(0, 1)]).shape == (0, 4)
-
-
-def test_depth_guard_with_several_streams(monkeypatch):
-    monkeypatch.setattr(trie, "_default_max_depth", lambda n, p: 64)
-    with pytest.raises(DepthGuardExceeded, match="past depth 64"):
-        sample_shapes(10_000, 0.02, [0, 1, 1],
-                      [trial_rng(0, s) for s in range(3)])
+def test_sample_shapes_checks_its_count():
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        sample_shapes(10, 0.5, -1, trial_rng(0, 0))
+    assert sample_shapes(10, 0.5, 0, trial_rng(0, 0)).shape == (0, 4)
 
 
 @pytest.mark.parametrize("p", [0.02, 0.1, 0.3, 0.5, 0.9])
@@ -279,7 +250,7 @@ def test_sample_shapes_law_at_alias_threshold(n, p):
     # it through rng.binomial: means and variances of S, K and N within
     # 4 standard errors of the exact moments either way
     count = 10_000
-    x = sample_shapes(n, p, [count], [trial_rng(71, n)])[:, :3].astype(float)
+    x = sample_shapes(n, p, count, trial_rng(71, n))[:, :3].astype(float)
     t = exact_compute(p, n)
     exact = [(t.mean_S(n), t.var_S(n)), (t.mean_K(n), t.var_K(n)),
              (t.mean_N(n), t.var_N(n))]
@@ -300,7 +271,7 @@ def test_sample_shapes_memory_does_not_grow_with_depth():
     rng = trial_rng(9, 0)
     tracemalloc.start()
     try:
-        x = sample_shapes(100, 3e-3, [100], [rng])
+        x = sample_shapes(100, 3e-3, 100, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -313,7 +284,7 @@ def test_samplers_share_law_small_n():
     # 4 standard errors (desk-scale version of the acceptance check)
     trials = 4000
     p, n = 0.3, 6
-    a = sample_shapes(n, p, [trials], [trial_rng(100, 0)])[:, :3].astype(float)
+    a = sample_shapes(n, p, trials, trial_rng(100, 0))[:, :3].astype(float)
     bits = np.stack([sample_keys(n, p, trial_rng(200, t))
                      for t in range(trials)])
     b = key_shapes(bits)[:, :3].astype(float)
