@@ -50,7 +50,8 @@ it holds and answers for the rows ``at`` only.  At p = 1/2 the cone of
 n = 2^20 holds 8 % of the rows (3.8e8 of the 9e9 window cells of the full
 table), at p = 0.3 27 %; at small p the window spans most of 0..n and the
 cone is nearly every row.  Before any DP work a solve is checked against
-a budget of window cells and of dense moment-array bytes
+a budget of window cells, each long double cell weighed as
+_EXTENDED_CELL_COST float64 ones, and of dense moment-array bytes
 (WorkBudgetExceeded).
 
 Within one n the update order is fixed by data dependence:
@@ -59,6 +60,34 @@ Within one n the update order is fixed by data dependence:
 
 (the deviations need the new means; Cov SN consumes Var S of the same n,
 Var N consumes Cov SN and Var S).
+
+Waves and worker processes
+--------------------------
+The latest row that row n reads is max(n - max(lo, 1), min(hi, n - 1)),
+below n.  So a run of consecutive rows whose reads all end below the run's
+first row has no dependence inside it: a wave (``_waves``).  At p = 0.3 no
+wave before row 515 holds 8 rows (most rows there read the row before
+them); after it 23 waves of 8 to 727 rows hold 96 % of the 2.26e6 cells
+to n_max = 4096 (28 waves and 99.5 % to 16384; 22 waves and 99.995 % in
+the cone of 2^20 at p = 1/2).  At p = 0.1 and below, no table to 4096 has
+a wave.  The rows before the first wave of _WAVE_ROWS rows are solved in
+this process.  Each later wave is cut into up to 4 k chunks of about
+equal cells, which ``fork.run``'s ``deal`` hands out to its k workers (this
+process and k - 1 forked children), each chunk to the first worker free,
+so a worker on a slower or busier CPU takes fewer; the chunks of the next
+wave are dealt only when every chunk of this one is solved.
+k = max(1, min(CPUs, wave cells // _WORKER_CELLS)), so a solve of fewer
+than 2^21 wave cells (the cone of n = 64, 256 and 1024 at p = 1/2 has
+1.45e5), or one on a single CPU (``taskset -c 0``), runs in this process
+alone.  M lives in shared anonymous memory (``fork.shared``): each worker
+writes its rows into it and reads the earlier rows from it, and the
+float64 table's columns are views of it.  A row is solved by the one
+function ``_row`` in whichever process, with the same arithmetic, so
+every table and cone row is bit-identical for every k.  The workers call
+BLAS for the 3x3 Gram product; OpenBLAS stops its thread pool before a
+fork (a pthread_atfork handler) and a child starts its own if it needs
+one, and the tests compare the forked table under OPENBLAS_NUM_THREADS =
+1 and 2.
 
 Precision modes
 ---------------
@@ -91,11 +120,13 @@ the two covariance toll functions.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import fork
 from .errors import DegenerateVariance, GuardExceeded, WorkBudgetExceeded
 
 # The dtype of precision "extended": x86-64's 80-bit long double carries a
@@ -108,12 +139,23 @@ _EXTENDED = np.longdouble
 _TAIL_BITS = 121
 # Budget of one solve, checked before any DP work: the split outcomes (cells)
 # summed over the rows filled, and the bytes of the dense (8, n_max + 1)
-# moment array M.  It is the one bound on every exact solve.  At its edge
-# the full float64 table of p = 0.3 to n_max = 149,000, 5.0e8 cells, takes
-# 19-22 s on a 2-core box (its CSV of 28.5 MB 1.3 s more), and the cone of
-# n = 2^20 at p = 1/2, 3.8e8 cells, 15-23 s.
+# moment array M.  It is the one bound on every exact solve.  At its edge,
+# on a 2-core box, the CLI writes the full float64 table of p = 0.3 to
+# n_max = 149,000 (5.0e8 cells, two processes) in 10.6 s with its 28.5 MB
+# CSV, and the one of p = 0.002 to 220,000 (4.9e8 cells, no wave, one
+# process) in 17.1 s; the long double table of p = 7.5e-8 to 81,000 (1.0e8
+# cells) takes 15.7 s.
 _MAX_CELLS = 5 * 10 ** 8
 _MAX_M_BYTES = 2 ** 28
+# An extended cell counts as this many standard ones against _MAX_CELLS: a
+# long double cell costs 2.9-4.1x a float64 one (p = 0.3, n_max 16384 and
+# p = 0.002, 7.5e-8, n_max 40,000, one process) and up to 5.4x near p = 0.
+_EXTENDED_CELL_COST = 5
+# The rows before the first wave of _WAVE_ROWS rows are solved in this process
+# alone, and a solve takes one worker process per _WORKER_CELLS cells of its
+# waves at least (about 60 ms of DP against about 4 ms to fork and reap one).
+_WAVE_ROWS = 8
+_WORKER_CELLS = 2 ** 20
 
 
 def _canonical(p: float) -> tuple[float, float]:
@@ -335,52 +377,113 @@ class MomentTable:
                    nan + (self.CovSN[sel][lead:] / np.sqrt(vs * vn)).tolist()])
 
 
+def _row(M: np.ndarray, n: int, lo: int, hi: int, p: float, q: float,
+         dtype, ratios: tuple, tiny) -> None:
+    """Fill column n of the moment array M from its columns k and n - k,
+    k in the window [lo, hi]: the one step of the recurrence.  The rows of
+    M are ES, EK, EN, VarS, VarK, CovSK, CovSN and VarN."""
+    w = _binom_weights(n, p, q, dtype, lo, hi, ratios)
+    if w[0] < tiny or w[-1] < tiny:
+        # at tiny p the window reaches past underflow: drop the zero and
+        # subnormal weights at its ends (the pmf is unimodal)
+        keep = np.flatnonzero(w >= tiny)
+        lo, hi = lo + int(keep[0]), lo + int(keep[-1])
+        w = w[keep[0]:keep[-1] + 1]
+    # the k = 0 and k = n outcomes reproduce the parent (self-terms)
+    wb = 0.0
+    if lo == 0:
+        wb, w, lo = w[0], w[1:], 1
+    if hi == n:
+        wb, w, hi = wb + w[-1], w[:-1], n - 1
+    denom = 1.0 - wb
+    # S[:, j] = X(k) + X(n - k) at k = lo + j; the pairwise .sum keeps
+    # the order fixed
+    S = M[:, lo:hi + 1] + M[:, n - lo:n - hi - 1:-1]
+    lin = (S * w).sum(axis=1)
+    M[0, n] = ms = (lin[0] + 1.0) / denom
+    M[1, n] = mk = (lin[1] + n) / denom
+    M[2, n] = mn = (lin[2] + lin[0] + wb * ms) / denom
+    # deviations of the conditional means from the new means, O(sqrt Var)
+    D = S[:3]
+    D[2] += D[0]             # N's toll is the two subtree sizes
+    D[0] += 1.0 - ms
+    D[1] += n - mk
+    D[2] -= mn
+    Q = (D * w) @ D.T
+    M[3, n] = vss = (lin[3] + Q[0, 0] + wb) / denom
+    M[4, n] = (lin[4] + Q[1, 1] + wb * (float(n) * n)) / denom
+    M[5, n] = (lin[5] + Q[0, 1] + wb * n) / denom
+    M[6, n] = vsn = (lin[6] + lin[3] + Q[0, 2] + wb * (vss + ms)) / denom
+    M[7, n] = (lin[7] + 2.0 * lin[6] + lin[3] + Q[2, 2]
+               + wb * (2.0 * vsn + vss + ms * ms)) / denom
+
+
+def _waves(rows: np.ndarray, lows: np.ndarray, highs: np.ndarray) -> list:
+    """Split the sorted rows into maximal runs rows[a:b] of rows that read
+    no row of their own run; returns the bounds [a, b) of each run.
+
+    Row n reads the rows k and n - k for k in its window clipped to 1..n-1,
+    so at most row max(n - max(lo, 1), min(hi, n - 1)).  A run that starts
+    at row s holds the following rows while the running maximum of that
+    last read stays below s; as every earlier row reads below s too, that
+    is the running maximum over all rows, and each run ends where it first
+    reaches s.
+    """
+    last = np.maximum(rows - np.maximum(lows[rows], 1),
+                      np.minimum(highs[rows], rows - 1))
+    reach = np.maximum.accumulate(last).tolist()    # each below its row
+    starts, a = [], 0
+    while a < rows.size:
+        starts.append(a)
+        a = bisect.bisect_left(reach, int(rows[a]), a + 1)
+    return list(zip(starts, starts[1:] + [rows.size]))
+
+
 def _compute_centred(p: float, q: float, n_max: int, rows: np.ndarray,
                      lows: np.ndarray, highs: np.ndarray, dtype) -> dict:
     """Fill the moment rows ``rows`` (sorted, each >= 2, closed under the
     dependencies of the windows ``lows``, ``highs``) of an (8, n_max + 1)
-    array M in ``dtype``; every other row stays zero."""
-    # Row order of M: the three means, then the five centred second moments.
-    M = np.zeros((8, n_max + 1), dtype)
-    mS, mK, mN, vSS, vKK, vSK, vSN, vNN = M
+    array M in ``dtype``, shared with the worker processes; every other row
+    stays zero.
+
+    The rows before the first wave of _WAVE_ROWS rows are solved here, one
+    after another.  Each later wave of ``_waves`` is cut into chunks of
+    about equal cells, four for each of the k workers of ``fork.run``,
+    k = max(1, min(CPUs, their cells // _WORKER_CELLS)), and ``deal`` hands
+    the chunks of one wave out, each to the first worker free, before those
+    of the next.
+    """
+    waves = _waves(rows, lows, highs)
+    first = next((a for a, b in waves if b - a >= _WAVE_ROWS), rows.size)
+    waves = [(a, b) for a, b in waves if a >= first]
+    # cells[j]: the cells of the rows before rows[j]
+    cells = np.zeros(rows.size + 1, np.int64)
+    np.cumsum(highs[rows] - lows[rows] + 1, out=cells[1:])
+    k = max(1, min(fork.cpus(), int(cells[-1] - cells[first]) // _WORKER_CELLS))
+    # cuts[j][c]: the first row of chunk c of wave j, by cumulative cells;
+    # four chunks a worker, so that one on a slower CPU can take fewer
+    cuts = []
+    for a, b in waves:
+        m = min(b - a, 4 * k)
+        cuts.append([a] + np.searchsorted(
+            cells, np.linspace(cells[a], cells[b], m + 1)[1:-1]).tolist() + [b])
+    M = fork.shared((8, n_max + 1), dtype)
     ratios = _ratio_tables(n_max, p, q, dtype)
     tiny = np.finfo(dtype).tiny
-    for n in rows.tolist():
-        lo, hi = int(lows[n]), int(highs[n])
-        w = _binom_weights(n, p, q, dtype, lo, hi, ratios)
-        if w[0] < tiny or w[-1] < tiny:
-            # at tiny p the window reaches past underflow: drop the zero and
-            # subnormal weights at its ends (the pmf is unimodal)
-            keep = np.flatnonzero(w >= tiny)
-            lo, hi = lo + int(keep[0]), lo + int(keep[-1])
-            w = w[keep[0]:keep[-1] + 1]
-        # the k = 0 and k = n outcomes reproduce the parent (self-terms)
-        wb = 0.0
-        if lo == 0:
-            wb, w, lo = w[0], w[1:], 1
-        if hi == n:
-            wb, w, hi = wb + w[-1], w[:-1], n - 1
-        denom = 1.0 - wb
-        # S[:, j] = X(k) + X(n - k) at k = lo + j; the pairwise .sum keeps
-        # the order fixed
-        S = M[:, lo:hi + 1] + M[:, n - lo:n - hi - 1:-1]
-        lin = (S * w).sum(axis=1)
-        mS[n] = ms = (lin[0] + 1.0) / denom
-        mK[n] = mk = (lin[1] + n) / denom
-        mN[n] = mn = (lin[2] + lin[0] + wb * ms) / denom
-        # deviations of the conditional means from the new means, O(sqrt Var)
-        D = S[:3]
-        D[2] += D[0]             # N's toll is the two subtree sizes
-        D[0] += 1.0 - ms
-        D[1] += n - mk
-        D[2] -= mn
-        Q = (D * w) @ D.T
-        vSS[n] = vss = (lin[3] + Q[0, 0] + wb) / denom
-        vKK[n] = (lin[4] + Q[1, 1] + wb * (float(n) * n)) / denom
-        vSK[n] = (lin[5] + Q[0, 1] + wb * n) / denom
-        vSN[n] = vsn = (lin[6] + lin[3] + Q[0, 2] + wb * (vss + ms)) / denom
-        vNN[n] = (lin[7] + 2.0 * lin[6] + lin[3] + Q[2, 2]
-                  + wb * (2.0 * vsn + vss + ms * ms)) / denom
+    ns, lows, highs = rows.tolist(), lows.tolist(), highs.tolist()
+
+    def solve(part):
+        for n in part:
+            _row(M, n, lows[n], highs[n], p, q, dtype, ratios, tiny)
+
+    solve(ns[:first])
+
+    def work(i, deal):
+        for cut in cuts:
+            for c in deal(len(cut) - 1):
+                solve(ns[cut[c]:cut[c + 1]])
+
+    fork.run(k, work, lambda i: f"exact DP worker {i} of {k}")
     return dict(zip(("ES", "EK", "EN", "VarS", "VarK", "CovSK", "CovSN", "VarN"), M))
 
 
@@ -418,10 +521,13 @@ def compute(p: float, n_max: int, precision: str = "standard",
     lows, highs = _windows(n_max, p_eff)
     rows = np.arange(2, n_max + 1) if at is None else _cone(at, lows, highs)
     cells = int((highs[rows] - lows[rows] + 1).sum())
-    if cells > _MAX_CELLS:
+    cost = cells * (_EXTENDED_CELL_COST if precision == "extended" else 1)
+    if cost > _MAX_CELLS:
+        weight = "" if cost == cells else (
+            f" in extended precision, weighed as {cost} standard ones")
         raise WorkBudgetExceeded(
-            f"the DP over {rows.size} rows sums {cells} split outcomes, above "
-            f"the budget of {_MAX_CELLS}")
+            f"the DP over {rows.size} rows sums {cells} split outcomes"
+            f"{weight}, above the budget of {_MAX_CELLS}")
     t = _compute_centred(p_eff, q_eff, n_max, rows, lows, highs, dtype)
     return MomentTable(p=p, n_max=n_max, precision=precision, at=at,
                        **{k: v.astype(np.float64, copy=False) for k, v in t.items()})

@@ -7,18 +7,19 @@ its own counter-derived stream ``trie.trial_rng(seed, b)``.  The batch is
 the stream unit: a sample matrix of k*G trials is a prefix of any longer one
 with the same seed, and a last, shorter batch is drawn with fewer tries from
 its stream.  The batches are split into k contiguous shares, one per worker
-process: this process draws the first share, and k - 1 ``os.fork``
-children draw the others and send their rows back through pipes, so k
-changes no sample.  k is one per CPU (``os.sched_getaffinity``), at most
-one per batch, at most one per ``_WORKER_KEYS`` = 2**20 keys of the run
-(about 0.15 s of drawing against a fork round trip of about 6 ms), and few
-enough that k batches together hold at most ``_MAX_KEYS`` keys.  So small
-runs, and runs pinned to one CPU (``taskset -c 0``), draw in this process
-alone.  Before drawing, ``check`` refuses n < 2, too few trials, a bad p or
-a seed outside [0, 2**128) with ValueError, and with WorkBudgetExceeded a
-run whose batches would hold a trie of more than ``_MAX_KEYS`` keys or run
-for more than ``_MAX_LEVELS`` levels; ``whiten`` and the CLI's ``compare``
-call it before they solve an exact row.
+of ``fork.run``: this process draws the first share and k - 1 forked
+children the others, each straight into the sample matrix, which lives in
+shared memory (``fork.shared``), so k changes no sample.  k is one per CPU
+(``fork.cpus``), at most one per batch, at most one per ``_WORKER_KEYS`` =
+2**20 keys of the run (about 0.15 s of drawing against a fork round trip
+of about 6 ms), and few enough that k batches together hold at most
+``_MAX_KEYS`` keys.  So small runs, and runs pinned to one CPU
+(``taskset -c 0``), draw in this process alone.  Before drawing, ``check``
+refuses n < 2, too few trials, a bad p or a seed outside [0, 2**128) with
+ValueError, and with WorkBudgetExceeded a run whose batches would hold a
+trie of more than ``_MAX_KEYS`` keys or run for more than ``_MAX_LEVELS``
+levels; ``whiten`` and the CLI's ``compare`` call it before they solve an
+exact row.
 
 Every command reduces the full sample matrix (trials x 3 int64, 24 B per
 trial) once, through one centring helper: ``summary`` (and ``run``, its
@@ -32,14 +33,12 @@ configuration and writes it as JSON or CSV.
 from __future__ import annotations
 
 import math
-import os
-import pickle
 
 import numpy as np
 
-from . import asym, exact
+from . import asym, exact, fork
 from .asym import SymMatrix2, invsqrt2
-from .errors import DegenerateVariance, TrieMomentsError, WorkBudgetExceeded
+from .errors import DegenerateVariance, WorkBudgetExceeded
 from .trie import _alias_tables, check_seed, sample_shapes, trial_rng
 
 _BATCH_KEYS = 2 ** 17
@@ -95,100 +94,36 @@ def check(n: int, p: float, trials: int, seed: int, least: int) -> None:
     check_seed(seed)
 
 
-def _cpus() -> int:
-    """CPUs this process may run on; 1 where os.fork or affinity is missing."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def sample_matrix(n: int, p: float, trials: int, seed: int) -> np.ndarray:
     """(trials, 3) matrix of (S, K, N) samples, deterministic per seed.
 
     ``check``s its inputs with a floor of 2 trials, then draws each batch
     with one ``sample_shapes`` call.  The batches are split into k
     contiguous shares, k = max(1, min(CPUs, batches, trials n //
-    _WORKER_KEYS, _MAX_KEYS // keys a batch)), drawn by ``_draw_forked``;
-    every row is the same for every k.
+    _WORKER_KEYS, _MAX_KEYS // keys a batch)), each drawn by one worker of
+    ``fork.run`` into the shared matrix; every row is the same for every k.
     """
     check(n, p, trials, seed, 2)
     g = _batch_size(n)
     batches = -(-trials // g)
-    k = max(1, min(_cpus(), batches, trials * n // _WORKER_KEYS,
+    k = max(1, min(fork.cpus(), batches, trials * n // _WORKER_KEYS,
                    _MAX_KEYS // (g * n)))
-    out = np.empty((trials, 3), dtype=np.int64)
+    out = fork.shared((trials, 3), np.int64)
+    shares = [range(i * batches // k, (i + 1) * batches // k) for i in range(k)]
 
-    def draw(share):
-        for b in share:
+    def draw(i, deal):
+        for b in shares[i]:
             rows = sample_shapes(n, p, min(g, trials - b * g),
                                  trial_rng(seed, b))
             out[b * g:b * g + len(rows)] = rows[:, :3]
 
-    shares = []
-    for i in range(k):
-        share = range(i * batches // k, (i + 1) * batches // k)
-        rows = slice(share.start * g, min(share.stop * g, trials))
-        shares.append((share, rows))
+    def name(i):
+        return (f"trials {shares[i].start * g}.."
+                f"{min(shares[i].stop * g, trials) - 1}")
+
     _alias_tables(p)    # built before any fork, so the workers inherit it
-    _draw_forked(out, draw, shares)
+    fork.run(k, draw, name)
     return out
-
-
-def _draw_forked(out: np.ndarray, draw, shares) -> None:
-    """Fill ``out`` by ``draw(share)`` for each (share, rows) of ``shares``,
-    where draw(share) fills out[rows].
-
-    This process draws the first share; each other is drawn by an
-    ``os.fork`` child, which sends out[rows], or the exception draw raised,
-    pickled through a pipe and leaves by ``os._exit``.  Fork, not spawn: a
-    child inherits the imports and caches, and draws with numpy's random
-    and element-wise code only, never with the BLAS threads a fork leaves
-    behind.  The results are read in share order, and a child's exception
-    is raised here unchanged; a child that ends without a result raises
-    TrieMomentsError naming it.  Every child is reaped before this returns
-    or raises, and killed first if anything failed.
-    """
-    children = []       # (pid, read end, rows)
-    try:
-        for share, rows in shares[1:]:
-            r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                code = 1
-                try:
-                    try:
-                        draw(share)
-                        result = out[rows]
-                    except Exception as e:      # raised again by the parent
-                        result = e
-                    data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
-                    with os.fdopen(w, "wb") as f:
-                        f.write(data)
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(w)
-            children.append((pid, os.fdopen(r, "rb"), rows))
-        draw(shares[0][0])
-        for pid, f, rows in children:
-            try:
-                result = pickle.load(f)
-            except (EOFError, pickle.UnpicklingError):
-                raise TrieMomentsError(
-                    f"worker process {pid} (trials {rows.start}.."
-                    f"{rows.stop - 1}) ended without a result") from None
-            if isinstance(result, BaseException):
-                raise result
-            out[rows] = result
-    except BaseException:
-        from signal import SIGKILL      # imported on failure only
-        for pid, _, _ in children:
-            os.kill(pid, SIGKILL)
-        raise
-    finally:
-        for pid, f, _ in children:
-            f.close()
-            os.waitpid(pid, 0)
 
 
 def _centre(x: np.ndarray):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -76,3 +78,29 @@ def assert_close(got, want, rtol=0.0, atol=0.0, msg=""):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+def workers(monkeypatch, cpus):
+    """Let the fork layer see ``cpus`` CPUs; returns the pids it forks."""
+    monkeypatch.setattr("triemoments.fork.cpus", lambda: cpus)
+    forked, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forked
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def in_children(real, fault):
+    """``real`` in this process, ``fault`` in the processes it forks."""
+    parent = os.getpid()
+    return lambda *a: real(*a) if os.getpid() == parent else fault(*a)

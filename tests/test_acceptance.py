@@ -10,9 +10,9 @@ import math
 import numpy as np
 
 from conftest import table
-from triemoments import (F_profile, cdigamma, cgamma, fluct_eval, g1_sym,
-                         g2_general, g2_sym, g3_sym, invsqrt2, key_shapes,
-                         params, sample_keys, sqrt2, sym_coeffs,
+from triemoments import (F_profile, cdigamma, cgamma, fluct_eval, fork,
+                         g1_sym, g2_general, g2_sym, g3_sym, invsqrt2,
+                         key_shapes, params, sample_keys, sqrt2, sym_coeffs,
                          trial_rng, whiten, SymMatrix2)
 from triemoments.exact import PoissonModel
 from triemoments.gammafn import EULER_GAMMA
@@ -145,22 +145,37 @@ def test_criterion_10_poisson_residuals(table_03, table_05):
                f"covariance {worst_cov:.2e} (<1e-6), h1|p=1/2 = {h1_half}", ok)
 
 
+def _explicit_key_shapes(n: int, p: float, trials: int, seed: int):
+    """(trials, 3) shapes of tries over explicit keys: trial t draws its
+    keys from its own stream trial_rng(seed, t), and key_shapes measures
+    1024 tries a call.  The calls are dealt out to one worker process per
+    CPU (``fork.run``); the streams are independent, so the split changes
+    no sample."""
+    out = fork.shared((trials, 3), np.float64)
+    starts = range(0, trials, 1024)
+    k = fork.cpus()
+
+    def work(i, deal):
+        for b in deal(len(starts)):
+            start, stop = starts[b], min(starts[b] + 1024, trials)
+            bits = np.stack([sample_keys(n, p, trial_rng(seed, t))
+                             for t in range(start, stop)])
+            out[start:stop] = key_shapes(bits)[:, :3]
+
+    fork.run(k, work, lambda i: f"explicit-key worker {i} of {k}")
+    return out
+
+
 def test_criterion_11_sampler_law_equivalence():
     # the batched splitting sampler the CLI uses vs explicit keys, p = 0.3,
-    # 1e5 trials; trial t draws its keys from its own stream, and key_shapes
-    # measures 1024 tries a call
+    # 1e5 trials
     p = 0.3
     trials = 100_000
     ok = True
     msgs = []
     for n in (2, 3, 4, 5, 6, 7, 8, 64):
         a = sample_matrix(n, p, trials, seed=1000 + n).astype(np.float64)
-        b = np.empty((trials, 3))
-        for start in range(0, trials, 1024):
-            stop = min(start + 1024, trials)
-            bits = np.stack([sample_keys(n, p, trial_rng(5000 + n, t))
-                             for t in range(start, stop)])
-            b[start:stop] = key_shapes(bits)[:, :3]
+        b = _explicit_key_shapes(n, p, trials, 5000 + n)
         worst_z = 0.0
         for j in range(3):
             se = math.sqrt(a[:, j].var() / trials + b[:, j].var() / trials)

@@ -67,18 +67,22 @@ class TestExact:
         assert "Traceback" not in err
 
     def test_identical_across_blas_threads(self):
-        # the DP's Gram matrix is a BLAS product; its result must not
-        # depend on the BLAS thread count
+        # the DP's Gram matrix is a BLAS product; its result must depend
+        # neither on the BLAS thread count nor on the forked DP workers that
+        # call it: at p = 0.3 the table to 4096 is solved in two processes
         outs = []
-        for threads in ("1", "2"):
+        for threads, cpus in (("1", 1), ("1", 2), ("2", 2)):
             proc = subprocess.run(
-                [sys.executable, "-m", "triemoments.cli", "exact", "--p",
-                 "0.3", "--nmax", "1024"],
+                [sys.executable, "-c", "import sys\n"
+                 "from triemoments import cli, fork\n"
+                 f"fork.cpus = lambda: {cpus}\n"
+                 "sys.exit(cli.main(sys.argv[1:]))",
+                 "exact", "--p", "0.3", "--nmax", "4096"],
                 capture_output=True, text=True,
                 env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
             assert proc.returncode == 0, proc.stderr
             outs.append(proc.stdout)
-        assert outs[0] == outs[1]
+        assert outs[0] == outs[1] == outs[2]
 
     def test_atomic_out_file(self, tmp_path, capsys):
         out = tmp_path / "table.csv"
@@ -489,6 +493,10 @@ BAD_INPUT = [  # (arguments, exit code)
     # and a 256 MiB moment array at 2^22
     (["exact", "--p", "0.3", "--at", "1048576"], 3),
     (["exact", "--p", "0.5", "--at", "4194304"], 3),
+    # an extended cell weighs 5 standard ones: 2.8e8 split outcomes near
+    # p = 0 took 41-61 s in long double
+    (["exact", "--p", "7.5e-8", "--nmax", "160000", "--precision",
+      "extended"], 3),
 ]
 
 
@@ -675,11 +683,11 @@ def test_exact_solve_refused_before_sampling(monkeypatch, capsys):
 
 
 # Runs the CLI with sys.argv[1:], seeing two CPUs, with module.name
-# replaced in the forked sampler workers by a function whose body is
+# replaced in the forked worker processes by a function whose body is
 # ``action``; exits 99 if a child process is left afterwards.
 _FAULTY_WORKERS = """
 import os, sys
-from triemoments import cli, mc, trie
+from triemoments import cli, exact, fork, mc, trie
 real, parent = {module}.{name}, os.getpid()
 
 def faulty(*args):
@@ -688,7 +696,7 @@ def faulty(*args):
     {action}
 
 {module}.{name} = faulty
-mc._cpus = lambda: 2
+fork.cpus = lambda: 2
 code = cli.main(sys.argv[1:])
 try:
     os.waitpid(-1, os.WNOHANG)
@@ -697,6 +705,12 @@ except ChildProcessError:
     pass
 sys.exit(code)
 """
+
+
+def _run_faulty(module, name, action, args):
+    script = _FAULTY_WORKERS.format(module=module, name=name, action=action)
+    return subprocess.run([sys.executable, "-c", script] + args,
+                          capture_output=True, text=True, timeout=60)
 
 
 @pytest.mark.parametrize("module, name, action, err", [
@@ -709,13 +723,26 @@ def test_worker_failure_exits_3(module, name, action, err):
     # simulate at 3.2e6 keys draws in two processes; a worker's exception,
     # or a worker that ends without a result, exits 3 at once with no
     # traceback and no child left
-    script = _FAULTY_WORKERS.format(module=module, name=name, action=action)
-    proc = subprocess.run(
-        [sys.executable, "-c", script, "simulate", "--p", "0.3", "--n",
-         "1000", "--trials", "3200", "--seed", "4"],
-        capture_output=True, text=True, timeout=60)
+    proc = _run_faulty(module, name, action,
+                       ["simulate", "--p", "0.3", "--n", "1000", "--trials",
+                        "3200", "--seed", "4"])
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(err), proc.stderr
+
+
+@pytest.mark.parametrize("action, err", [
+    ("raise FloatingPointError('row in a worker')",
+     "numeric error: row in a worker\n"),
+    ("os._exit(1)", "numeric error: worker process "),
+])
+def test_dp_worker_failure_exits_3(action, err):
+    # the table to 4096 at p = 0.3 solves its 23 waves (2.2e6 cells) in two
+    # processes; a failure in a DP worker ends the command as in the sampler
+    proc = _run_faulty("exact", "_row", action,
+                       ["exact", "--p", "0.3", "--nmax", "4096"])
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
     assert proc.stderr.startswith(err), proc.stderr
 
 

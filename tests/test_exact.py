@@ -2,15 +2,17 @@ import dataclasses
 import functools
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
-from conftest import assert_close, table, two_key_oracle
+from conftest import (assert_close, in_children, no_child_left, table,
+                      two_key_oracle, workers)
 from triemoments import (DegenerateVariance, MomentTable, PoissonModel,
-                         WorkBudgetExceeded, compute, exact)
+                         TrieMomentsError, WorkBudgetExceeded, compute, exact)
 from triemoments.asym import IRRATIONAL, g2_general, params
 from triemoments.cli import main
 from triemoments.exact import (_TAIL_BITS, _binom_weights, _canonical, _cone,
@@ -183,6 +185,108 @@ def test_budget_refused_before_dp_work(monkeypatch):
         compute(0.5, 2 ** 22, at=[2 ** 22])
     with pytest.raises(WorkBudgetExceeded, match="split outcomes"):
         compute(0.5, 2 ** 20)
+
+
+def test_extended_cells_weigh_more(monkeypatch):
+    # a long double cell costs several float64 ones: p = 0.3 to 60,000 sums
+    # 1.3e8 split outcomes, inside the budget in standard precision and
+    # above it in extended
+    def no_dp(*a):
+        raise AssertionError("ran the DP")
+
+    monkeypatch.setattr(exact, "_compute_centred", no_dp)
+    with pytest.raises(AssertionError, match="ran the DP"):
+        compute(0.3, 60_000)
+    with pytest.raises(WorkBudgetExceeded, match=(
+            "sums 127007905 split outcomes in extended precision, weighed "
+            "as 635039525 standard ones, above the budget")):
+        compute(0.3, 60_000, "extended")
+
+
+# Solves with waves; with _WORKER_CELLS = 1 each is split over every CPU.
+_FORKED = [(0.3, 1500, None, "standard"), (0.7, 1500, None, "standard"),
+           (0.3, 1500, None, "extended"), (0.7, 1500, None, "extended"),
+           (0.5, 3000, (777, 3000), "standard"),
+           (0.5, 3000, (777, 3000), "extended")]
+
+
+def test_tables_equal_for_every_worker_count(monkeypatch):
+    # every row is solved by the same arithmetic in whichever process, so
+    # full tables and cones are bitwise equal for any number of workers,
+    # and p and 1 - p still give the same bytes
+    monkeypatch.setattr(exact, "_WORKER_CELLS", 1)
+    tables = {}
+    for k in (1, 2, 3):
+        forked = workers(monkeypatch, k)
+        for p, n_max, at, precision in _FORKED:
+            t = compute(p, n_max, precision, at=at)
+            tables[k, min(p, 0.3), precision] = [getattr(t, name).tobytes()
+                                                  for name in ROWS]
+            no_child_left()
+        assert len(forked) == (k - 1) * len(_FORKED)
+    for (k, p, precision), rows in tables.items():
+        assert rows == tables[1, p, precision], (k, p, precision)
+
+
+def test_small_solves_stay_in_this_process(monkeypatch):
+    # one CPU, a table without waves (at p = 0.1 every row reads the row
+    # before it) and a solve whose waves hold under _WORKER_CELLS cells
+    # (the cone of compare --n-grid 64,256,1024, 1.45e5 wave cells) fork
+    # no worker
+    forked = workers(monkeypatch, 1)
+    compute(0.3, 4096)
+    forked = workers(monkeypatch, 3)
+    compute(0.5, 1024, "extended", at=[64, 256, 1024])
+    monkeypatch.setattr(exact, "_WORKER_CELLS", 1)
+    compute(0.1, 3000)
+    assert forked == []
+
+
+def test_dp_worker_exception_raised_unchanged(monkeypatch):
+    def overflow(*a):
+        raise FloatingPointError("overflow in a worker")
+
+    monkeypatch.setattr(exact, "_WORKER_CELLS", 1)
+    monkeypatch.setattr(exact, "_row", in_children(exact._row, overflow))
+    forked = workers(monkeypatch, 3)
+    with pytest.raises(FloatingPointError) as e:
+        compute(0.3, 1500)
+    assert str(e.value) == "overflow in a worker"
+    assert len(forked) == 2
+    no_child_left()
+
+
+def test_dp_worker_without_result(monkeypatch):
+    monkeypatch.setattr(exact, "_WORKER_CELLS", 1)
+    monkeypatch.setattr(exact, "_row",
+                        in_children(exact._row, lambda *a: os._exit(1)))
+    forked = workers(monkeypatch, 3)
+    with pytest.raises(TrieMomentsError) as e:
+        compute(0.3, 1500)
+    # the chunks go to whichever worker is free, so either may die first
+    assert str(e.value) in [f"worker process {pid} (exact DP worker {i + 1} "
+                            "of 3) ended without a result"
+                            for i, pid in enumerate(forked)]
+    no_child_left()
+
+
+def test_dp_failure_here_kills_workers(monkeypatch):
+    # the workers wait at a wave's barrier; an exception in this process's
+    # share of a wave (rows past 514) kills and reaps them
+    real = exact._row
+
+    def overflow(M, n, *a):
+        if n > 600:
+            raise FloatingPointError("overflow here")
+        real(M, n, *a)
+
+    monkeypatch.setattr(exact, "_WORKER_CELLS", 1)
+    monkeypatch.setattr(exact, "_row", in_children(overflow, real))
+    forked = workers(monkeypatch, 3)
+    with pytest.raises(FloatingPointError, match="overflow here"):
+        compute(0.3, 1500)
+    assert len(forked) == 2
+    no_child_left()
 
 
 @pytest.mark.parametrize("p", [0.5, 0.3])

@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import assert_close, table, two_key_oracle
+from conftest import (assert_close, in_children, no_child_left, table,
+                      two_key_oracle, workers)
 from triemoments import (DegenerateVariance, DepthGuardExceeded,
                          NotPositiveDefinite, TrieMomentsError,
                          WorkBudgetExceeded, run, whiten, joint_histogram)
@@ -263,32 +264,6 @@ def test_sample_matrix_call_bounds(monkeypatch, n, trials):
 _WORKER_SHAPE = (1000, 0.3, 3159)
 
 
-def _workers(monkeypatch, cpus):
-    """Let sample_matrix see ``cpus`` CPUs; returns the pids it forks."""
-    monkeypatch.setattr("triemoments.mc._cpus", lambda: cpus)
-    forked, fork = [], os.fork
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return forked
-
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _in_children(real, fault):
-    """``real`` in this process, ``fault`` in the processes it forks."""
-    parent = os.getpid()
-    return lambda *a: real(*a) if os.getpid() == parent else fault(*a)
-
-
 def test_sample_matrix_rows_equal_for_every_worker_count(monkeypatch):
     # the calls are split over forked workers, and every row is the same for
     # any number of them; each worker draws 2**20 keys of the run at least
@@ -297,15 +272,15 @@ def test_sample_matrix_rows_equal_for_every_worker_count(monkeypatch):
     assert n * trials >= 3 * _WORKER_KEYS and trials % g == 15
     rows = {}
     for k in (1, 2, 3):
-        forked = _workers(monkeypatch, k)
+        forked = workers(monkeypatch, k)
         rows[k] = sample_matrix(n, p, trials, seed=4)
         assert len(forked) == k - 1
-        _no_child_left()
+        no_child_left()
     assert all(np.array_equal(rows[1], rows[k]) for k in (2, 3))
     last = sample_shapes(n, p, 15, trial_rng(4, trials // g))[:, :3]
     assert np.array_equal(rows[3][-15:], last)
     # one worker per 2**20 keys: a smaller run is drawn here alone
-    forked = _workers(monkeypatch, 3)
+    forked = workers(monkeypatch, 3)
     sample_matrix(n, p, _WORKER_KEYS // n, seed=4)
     assert forked == []
 
@@ -314,13 +289,13 @@ def test_worker_exception_raised_unchanged(monkeypatch):
     # DepthGuardExceeded in a worker is raised here with its own message
     n, p, trials = _WORKER_SHAPE
     monkeypatch.setattr("triemoments.trie._default_max_depth",
-                        _in_children(_default_max_depth, lambda n, p: 3))
-    forked = _workers(monkeypatch, 3)
+                        in_children(_default_max_depth, lambda n, p: 3))
+    forked = workers(monkeypatch, 3)
     with pytest.raises(DepthGuardExceeded) as e:
         sample_matrix(n, p, trials, seed=4)
     assert str(e.value) == f"splitting recursion past depth 3 at n={n}, p={p}"
     assert len(forked) == 2
-    _no_child_left()
+    no_child_left()
 
 
 def test_worker_without_result(monkeypatch):
@@ -331,26 +306,26 @@ def test_worker_without_result(monkeypatch):
         os._exit(1)
 
     monkeypatch.setattr("triemoments.mc.sample_shapes",
-                        _in_children(sample_shapes, dying))
-    forked = _workers(monkeypatch, 2)
+                        in_children(sample_shapes, dying))
+    forked = workers(monkeypatch, 2)
     with pytest.raises(TrieMomentsError) as e:
         sample_matrix(n, p, trials, seed=4)
     # 25 batches: this process draws the first 12 (1572 trials)
     assert str(e.value) == (f"worker process {forked[0]} (trials 1572..3158) "
                             "ended without a result")
-    _no_child_left()
+    no_child_left()
 
 
 def test_failure_here_kills_workers(monkeypatch):
     # an exception in this process's own share kills and reaps the workers
     n, p, trials = _WORKER_SHAPE
     monkeypatch.setattr("triemoments.trie._default_max_depth",
-                        _in_children(lambda n, p: 3, _default_max_depth))
-    forked = _workers(monkeypatch, 3)
+                        in_children(lambda n, p: 3, _default_max_depth))
+    forked = workers(monkeypatch, 3)
     with pytest.raises(DepthGuardExceeded):
         sample_matrix(n, p, trials, seed=4)
     assert len(forked) == 2
-    _no_child_left()
+    no_child_left()
 
 
 def test_work_budget_refuses_before_drawing(monkeypatch):
