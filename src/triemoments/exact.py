@@ -478,12 +478,12 @@ def _compute_centred(p: float, q: float, n_max: int, rows: np.ndarray,
 
     solve(ns[:first])
 
-    def work(i, deal):
+    def work(deal):
         for cut in cuts:
             for c in deal(len(cut) - 1):
                 solve(ns[cut[c]:cut[c + 1]])
 
-    fork.run(k, work, lambda i: f"exact DP worker {i} of {k}")
+    fork.run(k, work)
     return dict(zip(("ES", "EK", "EN", "VarS", "VarK", "CovSK", "CovSN", "VarN"), M))
 
 

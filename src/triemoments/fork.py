@@ -1,26 +1,29 @@
 """Worker processes over shared memory: the one process layer of the exact
-DP (``exact._compute_centred``) and the Monte-Carlo sampler
-(``mc.sample_matrix``).
+DP (``exact._compute_centred``), the Monte-Carlo sampler
+(``mc.sample_matrix``) and criterion 11's explicit-key check.
 
-``run(k, work, name)`` calls ``work(i, deal)`` for i = 0..k-1: i = 0 in this
-process, the others in ``os.fork`` children.  Fork, not spawn: a child
-inherits the imports, the caches and every array built before the call, and
-writes its results into arrays from ``shared``, anonymous memory mapped
-shared, which this process reads in place; nothing is copied back.
+``run(k, work)`` calls ``work(deal)`` in this process and k - 1 ``os.fork``
+children.  Fork, not spawn: a child inherits the imports, the caches and
+every array built before the call, and writes its results into arrays from
+``shared``, anonymous memory mapped shared, which this process reads in
+place; nothing is copied back.  Where a pipe or a fork fails (pids or fds
+run out), ``run`` goes on with the workers it has: no result depends on
+their number.
 
-``deal(m)`` hands out the indices 0..m-1 to the workers, each index to the
-first worker that asks, so a worker on a slower CPU takes fewer; every
-worker makes the same calls.  This process writes the m indices, and one
-end mark per worker, into a pipe that every worker reads, and a worker
-takes indices up to an end mark.  Each deal is a barrier: a child reports
-that it took its end mark and waits until this process, having taken its
-own and heard from every child, lets it go on, so no index of the next
-deal is handed out before every index of this one is done.  A child
-reports the end of a deal, that it finished, or the exception its work
-raised, pickled, through a pipe of its own, and waits on a second pipe.  A
-child's exception is raised here unchanged; a child that ends without a
-word raises TrieMomentsError with ``name(i)``.  On any failure every child
-is killed; every child is reaped before ``run`` returns or raises.
+``deal(m)``, the one way work is handed out, yields the indices 0..m-1,
+each to the first worker that asks, so a worker on a slower CPU takes
+fewer; every worker makes the same calls.  This process writes c = min(m,
+_RUNS) run numbers, run r for the indices r*m//c..(r+1)*m//c - 1, and one
+end mark per worker, at most PIPE_BUF bytes, into the empty pipe that every
+worker reads up to an end mark, so the write never blocks.  Each deal is a
+barrier: a child reports that it took its end mark and waits until this
+process, having taken its own and heard from every child, lets it go on,
+so no index of the next deal is handed out before every index of this one
+is done.  A child reports the end of a deal, that it finished, or the
+exception its work raised, pickled, through a pipe of its own, and waits
+on a second pipe.  A child's exception is raised here unchanged; a child
+that ends without a word raises TrieMomentsError.  On any failure every
+child is killed; every child is reaped before ``run`` returns or raises.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import math
 import mmap
 import os
 import pickle
+import select
 import struct
 
 import numpy as np
@@ -37,6 +41,7 @@ import numpy as np
 from .errors import TrieMomentsError
 
 _END = -1       # the end mark of a deal
+_RUNS = select.PIPE_BUF // 8    # at most: runs of a deal, and workers
 
 
 def cpus() -> int:
@@ -61,25 +66,26 @@ def shared(shape, dtype) -> np.ndarray:
     return np.frombuffer(buf, dtype, count).reshape(shape)
 
 
-def _taken(fd: int):
-    """The indices read from the dealing pipe ``fd`` up to an end mark.  Each
-    is written and read as 4 bytes at once, so no two readers split one."""
+def _taken(fd: int, m: int):
+    """The indices of the runs of ``deal(m)`` read from the dealing pipe
+    ``fd`` up to an end mark; 4 bytes a read, so no two readers split one."""
+    c = min(m, _RUNS)
     while True:
         data = os.read(fd, 4)
         if not data:
             raise EOFError("the dealing process is gone")
-        j, = struct.unpack("i", data)
-        if j == _END:
+        r, = struct.unpack("i", data)
+        if r == _END:
             return
-        yield j
+        yield from range(r * m // c, (r + 1) * m // c)
 
 
 class _Child:
     """This process's side of one worker: its pid, the pipe it reports on
     and the pipe that lets it pass the end of a deal."""
 
-    def __init__(self, pid: int, report: int, release: int, name: str):
-        self.pid, self.name = pid, name
+    def __init__(self, pid: int, report: int, release: int):
+        self.pid = pid
         self.report = os.fdopen(report, "rb")
         self.release = release
 
@@ -89,30 +95,29 @@ class _Child:
         if got == b"E":
             raise pickle.load(self.report)
         if got != word:
-            raise TrieMomentsError(f"worker process {self.pid} ({self.name}) "
-                                   "ended without a result")
+            raise TrieMomentsError(
+                f"worker process {self.pid} ended without a result")
 
     def close(self) -> None:
         self.report.close()
         os.close(self.release)
 
 
-def _serve(i: int, work, take: int, report: int, release: int) -> None:
-    """A forked worker's life: work(i, deal), then its report, then
-    os._exit."""
+def _serve(work, take: int, report: int, release: int) -> None:
+    """A forked worker's life: work(deal), then its report, then os._exit."""
     code = 1
     try:
         out = os.fdopen(report, "wb")
 
         def deal(m):
-            yield from _taken(take)
+            yield from _taken(take, m)
             out.write(b"B")
             out.flush()
             if not os.read(release, 1):
                 raise EOFError("the dealing process is gone")
 
         try:
-            work(i, deal)
+            work(deal)
             word = b"D"
         except Exception as e:      # raised again by the parent
             word = b"E" + pickle.dumps(e, pickle.HIGHEST_PROTOCOL)
@@ -123,39 +128,51 @@ def _serve(i: int, work, take: int, report: int, release: int) -> None:
         os._exit(code)
 
 
-def run(k: int, work, name) -> None:
-    """Call ``work(i, deal)`` for i = 0..k-1, i = 0 here and each other i in
-    a forked child; ``name(i)`` names worker i in an error."""
+def run(k: int, work) -> None:
+    """Call ``work(deal)`` here and in min(k, _RUNS) - 1 forked children."""
+    if k > 1:
+        try:
+            take, give = os.pipe()
+        except OSError:     # out of fds: this process alone
+            k = 1
     if k == 1:
-        work(0, range)      # one worker: every index to it, in order
+        work(range)      # one worker: every index to it, in order
         return
     children = []
-    take, give = os.pipe()
 
     def deal(m):
-        os.write(give, struct.pack(f"{m + k}i", *range(m), *[_END] * k))
-        yield from _taken(take)
+        runs, ends = min(m, _RUNS), len(children) + 1
+        os.write(give, struct.pack(f"{runs + ends}i", *range(runs),
+                                   *[_END] * ends))
+        yield from _taken(take, m)
         for c in children:
             c.expect(b"B")
         for c in children:
             os.write(c.release, b"G")
 
     try:
-        for i in range(1, k):
-            report_r, report_w = os.pipe()
-            release_r, release_w = os.pipe()
-            pid = os.fork()
+        for _ in range(min(k, _RUNS) - 1):
+            fds = []
+            try:
+                fds += os.pipe()
+                fds += os.pipe()
+                pid = os.fork()
+            except OSError:     # out of pids or fds: go on with fewer
+                for fd in fds:
+                    os.close(fd)
+                break
+            report_r, report_w, release_r, release_w = fds
             if pid == 0:
                 os.close(give)      # so a child sees EOF when we are gone
                 os.close(report_r)
                 os.close(release_w)
                 for c in children:
                     c.close()
-                _serve(i, work, take, report_w, release_r)
+                _serve(work, take, report_w, release_r)
             os.close(report_w)
             os.close(release_r)
-            children.append(_Child(pid, report_r, release_w, name(i)))
-        work(0, deal)
+            children.append(_Child(pid, report_r, release_w))
+        work(deal)
         for c in children:
             c.expect(b"D")
     except BaseException:

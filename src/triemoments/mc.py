@@ -6,20 +6,20 @@ trials, so a batch holds about 2**17 keys.  Batch b covers trials
 its own counter-derived stream ``trie.trial_rng(seed, b)``.  The batch is
 the stream unit: a sample matrix of k*G trials is a prefix of any longer one
 with the same seed, and a last, shorter batch is drawn with fewer tries from
-its stream.  The batches are split into k contiguous shares, one per worker
-of ``fork.run``: this process draws the first share and k - 1 forked
-children the others, each straight into the sample matrix, which lives in
-shared memory (``fork.shared``), so k changes no sample.  k is one per CPU
-(``fork.cpus``), at most one per batch, at most one per ``_WORKER_KEYS`` =
-2**20 keys of the run (about 0.15 s of drawing against a fork round trip
-of about 6 ms), and few enough that k batches together hold at most
-``_MAX_KEYS`` keys.  So small runs, and runs pinned to one CPU
-(``taskset -c 0``), draw in this process alone.  Before drawing, ``check``
-refuses n < 2, too few trials, a bad p or a seed outside [0, 2**128) with
-ValueError, and with WorkBudgetExceeded a run whose batches would hold a
-trie of more than ``_MAX_KEYS`` keys or run for more than ``_MAX_LEVELS``
-levels; ``whiten`` and the CLI's ``compare`` call it before they solve an
-exact row.
+its stream.  ``fork.run``'s ``deal`` hands the batches out to k workers,
+this process and k - 1 forked children, each batch to the first worker
+free, so a worker on a slower CPU draws fewer; each draws straight into
+the sample matrix, which lives in shared memory (``fork.shared``), so k
+changes no sample.  k is one per CPU (``fork.cpus``), at most one per
+batch, at most one per ``_WORKER_KEYS`` = 2**20 keys of the run (about
+0.15 s of drawing against a fork round trip of about 6 ms), and few enough
+that k batches together hold at most ``_MAX_KEYS`` keys.  So small runs,
+and runs pinned to one CPU (``taskset -c 0``), draw in this process
+alone.  Before drawing, ``check`` refuses n < 2, too few trials, a bad p or
+a seed outside [0, 2**128) with ValueError, and with WorkBudgetExceeded a
+run whose batches would hold a trie of more than ``_MAX_KEYS`` keys or run
+for more than ``_MAX_LEVELS`` levels; ``whiten`` and the CLI's ``compare``
+call it before they solve an exact row.
 
 Every command reduces the full sample matrix (trials x 3 int64, 24 B per
 trial) once, through one centring helper: ``summary`` (and ``run``, its
@@ -98,10 +98,10 @@ def sample_matrix(n: int, p: float, trials: int, seed: int) -> np.ndarray:
     """(trials, 3) matrix of (S, K, N) samples, deterministic per seed.
 
     ``check``s its inputs with a floor of 2 trials, then draws each batch
-    with one ``sample_shapes`` call.  The batches are split into k
-    contiguous shares, k = max(1, min(CPUs, batches, trials n //
-    _WORKER_KEYS, _MAX_KEYS // keys a batch)), each drawn by one worker of
-    ``fork.run`` into the shared matrix; every row is the same for every k.
+    with one ``sample_shapes`` call, dealt by ``fork.run`` to k workers, k =
+    max(1, min(CPUs, batches, trials n // _WORKER_KEYS, _MAX_KEYS // keys a
+    batch)), each batch to the first worker free, into the shared matrix;
+    every row is the same for every k.
     """
     check(n, p, trials, seed, 2)
     g = _batch_size(n)
@@ -109,20 +109,15 @@ def sample_matrix(n: int, p: float, trials: int, seed: int) -> np.ndarray:
     k = max(1, min(fork.cpus(), batches, trials * n // _WORKER_KEYS,
                    _MAX_KEYS // (g * n)))
     out = fork.shared((trials, 3), np.int64)
-    shares = [range(i * batches // k, (i + 1) * batches // k) for i in range(k)]
 
-    def draw(i, deal):
-        for b in shares[i]:
+    def draw(deal):
+        for b in deal(batches):
             rows = sample_shapes(n, p, min(g, trials - b * g),
                                  trial_rng(seed, b))
             out[b * g:b * g + len(rows)] = rows[:, :3]
 
-    def name(i):
-        return (f"trials {shares[i].start * g}.."
-                f"{min(shares[i].stop * g, trials) - 1}")
-
     _alias_tables(p)    # built before any fork, so the workers inherit it
-    fork.run(k, draw, name)
+    fork.run(k, draw)
     return out
 
 

@@ -1,4 +1,6 @@
 import os
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -93,6 +95,23 @@ def workers(monkeypatch, cpus):
 
     monkeypatch.setattr(os, "fork", counting_fork)
     return forked
+
+
+@contextmanager
+def within(seconds):
+    """Raise TimeoutError in the block once it has run ``seconds`` s, so a
+    deadlocked deal fails its test; fork.run kills and reaps the workers
+    as the error unwinds it."""
+    def stuck(*a):
+        raise TimeoutError(f"not done within {seconds} s")
+
+    handler = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
 
 
 def no_child_left():

@@ -155,14 +155,14 @@ def _explicit_key_shapes(n: int, p: float, trials: int, seed: int):
     starts = range(0, trials, 1024)
     k = fork.cpus()
 
-    def work(i, deal):
+    def work(deal):
         for b in deal(len(starts)):
             start, stop = starts[b], min(starts[b] + 1024, trials)
             bits = np.stack([sample_keys(n, p, trial_rng(seed, t))
                              for t in range(start, stop)])
             out[start:stop] = key_shapes(bits)[:, :3]
 
-    fork.run(k, work, lambda i: f"explicit-key worker {i} of {k}")
+    fork.run(k, work)
     return out
 
 

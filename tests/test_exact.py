@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from conftest import (assert_close, in_children, no_child_left, table,
-                      two_key_oracle, workers)
+                      two_key_oracle, within, workers)
 from triemoments import (DegenerateVariance, MomentTable, PoissonModel,
                          TrieMomentsError, WorkBudgetExceeded, compute, exact)
 from triemoments.asym import IRRATIONAL, g2_general, params
@@ -219,7 +219,8 @@ def test_tables_equal_for_every_worker_count(monkeypatch):
     for k in (1, 2, 3):
         forked = workers(monkeypatch, k)
         for p, n_max, at, precision in _FORKED:
-            t = compute(p, n_max, precision, at=at)
+            with within(60):
+                t = compute(p, n_max, precision, at=at)
             tables[k, min(p, 0.3), precision] = [getattr(t, name).tobytes()
                                                   for name in ROWS]
             no_child_left()
@@ -233,12 +234,13 @@ def test_small_solves_stay_in_this_process(monkeypatch):
     # before it) and a solve whose waves hold under _WORKER_CELLS cells
     # (the cone of compare --n-grid 64,256,1024, 1.45e5 wave cells) fork
     # no worker
-    forked = workers(monkeypatch, 1)
-    compute(0.3, 4096)
-    forked = workers(monkeypatch, 3)
-    compute(0.5, 1024, "extended", at=[64, 256, 1024])
-    monkeypatch.setattr(exact, "_WORKER_CELLS", 1)
-    compute(0.1, 3000)
+    with within(60):
+        forked = workers(monkeypatch, 1)
+        compute(0.3, 4096)
+        forked = workers(monkeypatch, 3)
+        compute(0.5, 1024, "extended", at=[64, 256, 1024])
+        monkeypatch.setattr(exact, "_WORKER_CELLS", 1)
+        compute(0.1, 3000)
     assert forked == []
 
 
@@ -249,7 +251,7 @@ def test_dp_worker_exception_raised_unchanged(monkeypatch):
     monkeypatch.setattr(exact, "_WORKER_CELLS", 1)
     monkeypatch.setattr(exact, "_row", in_children(exact._row, overflow))
     forked = workers(monkeypatch, 3)
-    with pytest.raises(FloatingPointError) as e:
+    with within(60), pytest.raises(FloatingPointError) as e:
         compute(0.3, 1500)
     assert str(e.value) == "overflow in a worker"
     assert len(forked) == 2
@@ -261,12 +263,11 @@ def test_dp_worker_without_result(monkeypatch):
     monkeypatch.setattr(exact, "_row",
                         in_children(exact._row, lambda *a: os._exit(1)))
     forked = workers(monkeypatch, 3)
-    with pytest.raises(TrieMomentsError) as e:
+    with within(60), pytest.raises(TrieMomentsError) as e:
         compute(0.3, 1500)
     # the chunks go to whichever worker is free, so either may die first
-    assert str(e.value) in [f"worker process {pid} (exact DP worker {i + 1} "
-                            "of 3) ended without a result"
-                            for i, pid in enumerate(forked)]
+    assert str(e.value) in [f"worker process {pid} ended without a result"
+                            for pid in forked]
     no_child_left()
 
 
@@ -283,7 +284,7 @@ def test_dp_failure_here_kills_workers(monkeypatch):
     monkeypatch.setattr(exact, "_WORKER_CELLS", 1)
     monkeypatch.setattr(exact, "_row", in_children(overflow, real))
     forked = workers(monkeypatch, 3)
-    with pytest.raises(FloatingPointError, match="overflow here"):
+    with within(60), pytest.raises(FloatingPointError, match="overflow here"):
         compute(0.3, 1500)
     assert len(forked) == 2
     no_child_left()

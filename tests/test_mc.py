@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (assert_close, in_children, no_child_left, table,
-                      two_key_oracle, workers)
+                      two_key_oracle, within, workers)
 from triemoments import (DegenerateVariance, DepthGuardExceeded,
                          NotPositiveDefinite, TrieMomentsError,
                          WorkBudgetExceeded, run, whiten, joint_histogram)
@@ -265,15 +265,16 @@ _WORKER_SHAPE = (1000, 0.3, 3159)
 
 
 def test_sample_matrix_rows_equal_for_every_worker_count(monkeypatch):
-    # the calls are split over forked workers, and every row is the same for
-    # any number of them; each worker draws 2**20 keys of the run at least
+    # the batches are dealt to forked workers, and every row is the same for
+    # any number of them; one worker per 2**20 keys of the run at most
     n, p, trials = _WORKER_SHAPE
     g = _batch_size(n)
     assert n * trials >= 3 * _WORKER_KEYS and trials % g == 15
     rows = {}
     for k in (1, 2, 3):
         forked = workers(monkeypatch, k)
-        rows[k] = sample_matrix(n, p, trials, seed=4)
+        with within(60):
+            rows[k] = sample_matrix(n, p, trials, seed=4)
         assert len(forked) == k - 1
         no_child_left()
     assert all(np.array_equal(rows[1], rows[k]) for k in (2, 3))
@@ -281,7 +282,8 @@ def test_sample_matrix_rows_equal_for_every_worker_count(monkeypatch):
     assert np.array_equal(rows[3][-15:], last)
     # one worker per 2**20 keys: a smaller run is drawn here alone
     forked = workers(monkeypatch, 3)
-    sample_matrix(n, p, _WORKER_KEYS // n, seed=4)
+    with within(60):
+        sample_matrix(n, p, _WORKER_KEYS // n, seed=4)
     assert forked == []
 
 
@@ -291,7 +293,7 @@ def test_worker_exception_raised_unchanged(monkeypatch):
     monkeypatch.setattr("triemoments.trie._default_max_depth",
                         in_children(_default_max_depth, lambda n, p: 3))
     forked = workers(monkeypatch, 3)
-    with pytest.raises(DepthGuardExceeded) as e:
+    with within(60), pytest.raises(DepthGuardExceeded) as e:
         sample_matrix(n, p, trials, seed=4)
     assert str(e.value) == f"splitting recursion past depth 3 at n={n}, p={p}"
     assert len(forked) == 2
@@ -308,21 +310,20 @@ def test_worker_without_result(monkeypatch):
     monkeypatch.setattr("triemoments.mc.sample_shapes",
                         in_children(sample_shapes, dying))
     forked = workers(monkeypatch, 2)
-    with pytest.raises(TrieMomentsError) as e:
+    with within(60), pytest.raises(TrieMomentsError) as e:
         sample_matrix(n, p, trials, seed=4)
-    # 25 batches: this process draws the first 12 (1572 trials)
-    assert str(e.value) == (f"worker process {forked[0]} (trials 1572..3158) "
-                            "ended without a result")
+    assert str(e.value) == (f"worker process {forked[0]} ended without a "
+                            "result")
     no_child_left()
 
 
 def test_failure_here_kills_workers(monkeypatch):
-    # an exception in this process's own share kills and reaps the workers
+    # an exception in this process's own batches kills and reaps the workers
     n, p, trials = _WORKER_SHAPE
     monkeypatch.setattr("triemoments.trie._default_max_depth",
                         in_children(lambda n, p: 3, _default_max_depth))
     forked = workers(monkeypatch, 3)
-    with pytest.raises(DepthGuardExceeded):
+    with within(60), pytest.raises(DepthGuardExceeded):
         sample_matrix(n, p, trials, seed=4)
     assert len(forked) == 2
     no_child_left()
