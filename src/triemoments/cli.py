@@ -24,6 +24,7 @@ import math
 import os
 import sys
 import tempfile
+from functools import partial
 
 import numpy as np
 
@@ -75,11 +76,24 @@ def _flat_kv(doc: dict) -> list[str]:
     return lines
 
 
+def _finite(v):
+    """``v`` with every non-finite float, at any depth, made None."""
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
+    if isinstance(v, dict):
+        return {k: _finite(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite(x) for x in v]
+    return v
+
+
 def _render(cfg: dict, doc: dict, fmt: str, csv_body=_flat_kv) -> str:
-    """The output file: JSON {"config": cfg, **doc}, or CSV, the
-    ``# config:`` line and then the rows csv_body(doc)."""
+    """The output file: JSON {"config": cfg, **doc}, with null for a
+    non-finite number (JSON has no NaN), or CSV, the ``# config:`` line and
+    then the rows csv_body(doc), where nan stays nan."""
     if fmt == "json":
-        return json.dumps({"config": cfg, **doc}) + "\n"
+        return json.dumps(_finite({"config": cfg, **doc}),
+                          allow_nan=False) + "\n"
     return "\n".join([_cfg_line(cfg)] + csv_body(doc)) + "\n"
 
 
@@ -211,15 +225,26 @@ def _comparison_rows(doc: dict) -> list[str]:
 
 
 def _cmd_compare(args) -> str:
+    """Exact, asymptotic and (with --trials) Monte-Carlo values side by
+    side on the grid.  The Monte-Carlo inputs are ``mc.check``ed before
+    anything is solved or forked; ``mc.sample_beside`` then solves the
+    cone here while the batches of every grid point are drawn, with the
+    same output for every number of workers."""
     grid = _rows(args.n_grid, "n-grid")
     cfg = {"command": "compare", "p": args.p, "n_grid": args.n_grid,
            "trials": args.trials, "seed": args.seed,
            "precision": args.precision, "format": args.format}
     model = asym.params(args.p)
+    solve = partial(exact.compute, args.p, grid[-1], args.precision, at=grid)
+    rho_mc = [math.nan] * len(grid)
     if args.trials:     # refuse Monte-Carlo inputs before building the table
         for n in grid:
             mc.check(n, args.p, args.trials, args.seed, 100)
-    table = exact.compute(args.p, grid[-1], args.precision, at=grid)
+        table, samples = mc.sample_beside(solve, grid, args.p, args.trials,
+                                          args.seed)
+        rho_mc = [mc.summary(x)["rho"]["SK"] for x in samples]
+    else:
+        table = solve()
     if model.symmetric:
         c1, c2, c3 = (asym.sym_coeffs(f) for f in ("g1", "g2", "g3"))
         header = ("n,covSK_over_n,fluct_g2,diff_g2,varS_over_n,fluct_g1,"
@@ -229,7 +254,7 @@ def _cmd_compare(args) -> str:
         header = ("n,covSK_over_n,g2_0,diff_g2,varK_over_n,ln_n,"
                   "rho_exact,rho_mc")
     rows = []
-    for n in grid:
+    for n, rho in zip(grid, rho_mc):
         cover, vsover, vkover = (table.cov_SK(n) / n, table.var_S(n) / n,
                                  table.var_K(n) / n)
         if model.symmetric:
@@ -238,11 +263,7 @@ def _cmd_compare(args) -> str:
                    f3, abs(vkover - f3)]
         else:
             row = [g20, abs(cover - g20), vkover, math.log(n)]
-        rho_mc = float("nan")
-        if args.trials:
-            x = mc.sample_matrix(n, args.p, args.trials, args.seed)
-            rho_mc = mc.summary(x)["rho"]["SK"]
-        rows.append([n, cover] + row + [table.rho_SK(n), rho_mc])
+        rows.append([n, cover] + row + [table.rho_SK(n), rho])
     if model.symmetric:
         summary = {"g2_0": c2.value(0).real}
     else:   # the slope of VarK/n against ln n

@@ -1,6 +1,7 @@
 """Worker processes over shared memory: the one process layer of the exact
 DP (``exact._compute_centred``), the Monte-Carlo sampler
-(``mc.sample_matrix``) and criterion 11's explicit-key check.
+(``mc.sample_matrix``, and ``mc.sample_beside``, which deals ``compare``'s
+exact cone beside its batches) and criterion 11's explicit-key check.
 
 ``run(k, work)`` calls ``work(deal)`` in this process and k - 1 ``os.fork``
 children.  Fork, not spawn: a child inherits the imports, the caches and
@@ -12,10 +13,15 @@ their number.
 
 ``deal(m)``, the one way work is handed out, yields the indices 0..m-1,
 each to the first worker that asks, so a worker on a slower CPU takes
-fewer; every worker makes the same calls.  This process writes c = min(m,
-_RUNS) run numbers, run r for the indices r*m//c..(r+1)*m//c - 1, and one
-end mark per worker, at most PIPE_BUF bytes, into the empty pipe that every
-worker reads up to an end mark, so the write never blocks.  Each deal is a
+fewer; every worker makes the same calls.  The indices fall into c =
+min(m, _RUNS) runs, run r the indices r*m//c..(r+1)*m//c - 1.  This
+process writes the run numbers 1..c-1 and one end mark per worker, at
+most PIPE_BUF bytes, into the empty pipe that every worker reads up to an
+end mark, so the write never blocks; then it takes run 0 itself and reads
+the pipe like the others.  So index 0 is always taken here: work whose
+result must stay in this process, or that calls ``run`` itself, goes
+there, and only the dealing process ever forks; a worker never does, and
+each process is reaped by the one that forked it.  Each deal is a
 barrier: a child reports that it took its end mark and waits until this
 process, having taken its own and heard from every child, lets it go on,
 so no index of the next deal is handed out before every index of this one
@@ -66,10 +72,15 @@ def shared(shape, dtype) -> np.ndarray:
     return np.frombuffer(buf, dtype, count).reshape(shape)
 
 
+def _run(r: int, m: int) -> range:
+    """The indices of run r of ``deal(m)``."""
+    c = min(m, _RUNS)
+    return range(r * m // c, (r + 1) * m // c)
+
+
 def _taken(fd: int, m: int):
     """The indices of the runs of ``deal(m)`` read from the dealing pipe
     ``fd`` up to an end mark; 4 bytes a read, so no two readers split one."""
-    c = min(m, _RUNS)
     while True:
         data = os.read(fd, 4)
         if not data:
@@ -77,7 +88,7 @@ def _taken(fd: int, m: int):
         r, = struct.unpack("i", data)
         if r == _END:
             return
-        yield from range(r * m // c, (r + 1) * m // c)
+        yield from _run(r, m)
 
 
 class _Child:
@@ -141,9 +152,11 @@ def run(k: int, work) -> None:
     children = []
 
     def deal(m):
-        runs, ends = min(m, _RUNS), len(children) + 1
-        os.write(give, struct.pack(f"{runs + ends}i", *range(runs),
+        runs, ends = range(1, min(m, _RUNS)), len(children) + 1
+        os.write(give, struct.pack(f"{len(runs) + ends}i", *runs,
                                    *[_END] * ends))
+        if m:
+            yield from _run(0, m)
         yield from _taken(take, m)
         for c in children:
             c.expect(b"B")

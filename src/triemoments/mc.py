@@ -15,11 +15,14 @@ batch, at most one per ``_WORKER_KEYS`` = 2**20 keys of the run (about
 0.15 s of drawing against a fork round trip of about 6 ms), and few enough
 that k batches together hold at most ``_MAX_KEYS`` keys.  So small runs,
 and runs pinned to one CPU (``taskset -c 0``), draw in this process
-alone.  Before drawing, ``check`` refuses n < 2, too few trials, a bad p or
-a seed outside [0, 2**128) with ValueError, and with WorkBudgetExceeded a
-run whose batches would hold a trie of more than ``_MAX_KEYS`` keys or run
-for more than ``_MAX_LEVELS`` levels; ``whiten`` and the CLI's ``compare``
-call it before they solve an exact row.
+alone.  ``sample_beside`` draws the matrices of several n by the same
+per-batch code (``_batches``) in one deal whose index 0 is another task,
+kept by this process: the CLI's ``compare`` solves its exact cone there
+while the workers draw.  Before drawing, ``check`` refuses n < 2, too few
+trials, a bad p or a seed outside [0, 2**128) with ValueError, and with
+WorkBudgetExceeded a run whose batches would hold a trie of more than
+``_MAX_KEYS`` keys or run for more than ``_MAX_LEVELS`` levels; ``whiten``
+and the CLI's ``compare`` call it before they solve an exact row or fork.
 
 Every command reduces the full sample matrix (trials x 3 int64, 24 B per
 trial) once, through one centring helper: ``summary`` (and ``run``, its
@@ -33,6 +36,7 @@ configuration and writes it as JSON or CSV.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -94,6 +98,19 @@ def check(n: int, p: float, trials: int, seed: int, least: int) -> None:
     check_seed(seed)
 
 
+def _batches(n: int, p: float, trials: int, seed: int):
+    """(the shared (trials, 3) sample matrix, its batch count, draw), where
+    draw(b) draws batch b with one ``sample_shapes`` call into its rows."""
+    g = _batch_size(n)
+    out = fork.shared((trials, 3), np.int64)
+
+    def draw(b):
+        rows = sample_shapes(n, p, min(g, trials - b * g), trial_rng(seed, b))
+        out[b * g:b * g + len(rows)] = rows[:, :3]
+
+    return out, -(-trials // g), draw
+
+
 def sample_matrix(n: int, p: float, trials: int, seed: int) -> np.ndarray:
     """(trials, 3) matrix of (S, K, N) samples, deterministic per seed.
 
@@ -104,21 +121,50 @@ def sample_matrix(n: int, p: float, trials: int, seed: int) -> np.ndarray:
     every row is the same for every k.
     """
     check(n, p, trials, seed, 2)
-    g = _batch_size(n)
-    batches = -(-trials // g)
+    out, batches, draw = _batches(n, p, trials, seed)
     k = max(1, min(fork.cpus(), batches, trials * n // _WORKER_KEYS,
-                   _MAX_KEYS // (g * n)))
-    out = fork.shared((trials, 3), np.int64)
+                   _MAX_KEYS // (_batch_size(n) * n)))
 
-    def draw(deal):
+    def work(deal):
         for b in deal(batches):
-            rows = sample_shapes(n, p, min(g, trials - b * g),
-                                 trial_rng(seed, b))
-            out[b * g:b * g + len(rows)] = rows[:, :3]
+            draw(b)
 
     _alias_tables(p)    # built before any fork, so the workers inherit it
-    fork.run(k, draw)
+    fork.run(k, work)
     return out
+
+
+def sample_beside(task, ns, p: float, trials: int, seed: int):
+    """(task(), [sample_matrix(n, p, trials, seed) for n in ns]), with
+    ``task`` run while the samples are drawn, for inputs already
+    ``check``ed.
+
+    One ``fork.run`` deals index 0, ``task``, and then every batch of every
+    n, in order, to k = max(1, min(CPUs, 1 + batches, _MAX_KEYS // keys of
+    the largest batch)) workers.  This process takes index 0, so ``task``'s
+    result stays here and a ``task`` that forks (a large exact solve) forks
+    from here.  With one worker, ``task`` runs first.  Every matrix,
+    len(ns) x trials x 24 B, is allocated before ``task`` starts.
+    """
+    try:
+        draws = [_batches(n, p, trials, seed) for n in ns]
+    except MemoryError:     # task's own refusal first, as in one process
+        task()
+        raise
+    got = []
+    jobs = [lambda: got.append(task())] + [
+        partial(draw, b) for _, batches, draw in draws for b in range(batches)]
+    k = max(1, min(fork.cpus(), len(jobs),
+                   _MAX_KEYS // max(_batch_size(n) * n for n in ns)))
+
+    def work(deal):
+        for i in deal(len(jobs)):
+            jobs[i]()
+
+    # no _alias_tables(p) here: this process starts on task, and the
+    # tables are built by the first batch a process draws
+    fork.run(k, work)
+    return got[0], [out for out, _, _ in draws]
 
 
 def _centre(x: np.ndarray):

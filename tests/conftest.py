@@ -83,11 +83,16 @@ def rng():
 
 
 def workers(monkeypatch, cpus):
-    """Let the fork layer see ``cpus`` CPUs; returns the pids it forks."""
+    """Let the fork layer see ``cpus`` CPUs; returns the pids it forks.
+
+    Only this process, the dealing one, may fork: ``os.fork`` raises
+    AssertionError in a forked worker, which ``fork.run`` raises here."""
     monkeypatch.setattr("triemoments.fork.cpus", lambda: cpus)
-    forked, fork = [], os.fork
+    forked, fork, parent = [], os.fork, os.getpid()
 
     def counting_fork():
+        if os.getpid() != parent:
+            raise AssertionError(f"worker process {os.getpid()} forked")
         pid = fork()
         if pid:
             forked.append(pid)

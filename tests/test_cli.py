@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import no_child_left, within, workers
 from triemoments import exact, mc
 from triemoments.cli import main
 
@@ -732,6 +733,23 @@ def test_worker_failure_exits_3(module, name, action, err):
 
 
 @pytest.mark.parametrize("action, err", [
+    ("raise FloatingPointError('batch in a worker')",
+     "numeric error: batch in a worker\n"),
+    ("os._exit(1)", "numeric error: worker process "),
+])
+def test_compare_worker_failure_exits_3(action, err):
+    # compare --trials draws its 14 batches in a worker while this process
+    # solves the cone (about 0.2 s) before it takes any; a failure in the
+    # worker ends the command as in simulate
+    proc = _run_faulty("mc", "sample_shapes", action,
+                       ["compare", "--p", "0.3", "--n-grid", "64,4096",
+                        "--trials", "400", "--seed", "4"])
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert proc.stderr.startswith(err), proc.stderr
+
+
+@pytest.mark.parametrize("action, err", [
     ("raise FloatingPointError('row in a worker')",
      "numeric error: row in a worker\n"),
     ("os._exit(1)", "numeric error: worker process "),
@@ -744,6 +762,77 @@ def test_dp_worker_failure_exits_3(action, err):
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr and proc.stdout == ""
     assert proc.stderr.startswith(err), proc.stderr
+
+
+@pytest.mark.parametrize("args, cells", [
+    (["--p", "0.5", "--precision", "extended", "--n-grid", "64,256,1024",
+      "--trials", "400", "--seed", "3"], exact._WORKER_CELLS),
+    (["--p", "0.3", "--n-grid", "64,1000,2000", "--trials", "300"],
+     exact._WORKER_CELLS),
+    (["--p", "0.5", "--n-grid", "64,1024", "--trials", "200", "--format",
+      "json"], 1),
+])
+def test_compare_identical_for_every_worker_count(monkeypatch, capsys, args,
+                                                  cells):
+    # compare --trials deals its cone (index 0, kept by this process) and
+    # its batches to k = 1, 2, 3 workers with the same output; with
+    # _WORKER_CELLS = 1 the cone forks its own k - 1 DP workers from this
+    # process inside the deal.  workers() fails a worker that forks.
+    monkeypatch.setattr(exact, "_WORKER_CELLS", cells)
+    outs = []
+    for k in (1, 2, 3):
+        forked = workers(monkeypatch, k)
+        with within(60):
+            code, out, err = run_cli(["compare"] + args, capsys)
+        assert code == 0, err
+        no_child_left()
+        assert len(forked) == (k - 1) * (2 if cells == 1 else 1)
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("trials, forks", [("100", 1),
+                                           ("1000000000000000", 0)])
+def test_compare_cone_past_budget_with_trials(monkeypatch, capsys, trials,
+                                              forks):
+    # the cone of 2^20 at p = 0.3 is refused in this process while a
+    # worker draws tries of 2^20 keys, and the worker is killed and
+    # reaped; where the sample matrices cannot be allocated, nothing forks
+    # and the cone's refusal still comes first, as in one process
+    forked = workers(monkeypatch, 2)
+    start = time.perf_counter()
+    with within(60):
+        code, out, err = run_cli(["compare", "--p", "0.3", "--n-grid",
+                                  "64,1048576", "--trials", trials], capsys)
+    assert time.perf_counter() - start < 2.0
+    assert code == 3 and out == ""
+    assert err.startswith("work budget exceeded: the DP over "), err
+    assert len(forked) == forks
+    no_child_left()
+
+
+@pytest.mark.parametrize("args", [
+    ["compare", "--p", "0.3", "--n-grid", "64"],
+    ["compare", "--p", "0.3", "--n-grid", "64", "--trials", "100"],
+    ["exact", "--p", "0.3", "--nmax", "4"],
+])
+def test_json_writes_non_finite_as_null(capsys, args):
+    # JSON has no NaN (RFC 8259): compare's rho_mc without trials and its
+    # slope on a single grid point, and exact's correlations at n < 2, are
+    # null; the CSV keeps nan
+    def no_constant(name):
+        raise AssertionError(f"JSON output holds {name}")
+
+    code, out, _ = run_cli(args + ["--format", "json"], capsys)
+    assert code == 0
+    doc = json.loads(out, parse_constant=no_constant)
+    if args[0] == "exact":
+        assert doc["columns"]["RhoSK"][:2] == [None, None]
+    else:
+        assert doc["summary"]["varK_slope"] is None
+        assert (doc["rows"][0][-1] is None) == ("--trials" not in args)
+    code, out, _ = run_cli(args + ["--format", "csv"], capsys)
+    assert code == 0 and "nan" in out
 
 
 def test_compare_past_30000_rows_matches_exact_at(capsys):

@@ -33,6 +33,34 @@ def test_deal_hands_each_index_to_one_worker_between_barriers(monkeypatch):
     assert not early.any()
 
 
+def test_dealing_process_keeps_run_0(monkeypatch):
+    # over 3 workers and deals of 0 to more than 512 indices: this process
+    # takes every index of run 0 (index 0 alone while a deal has at most
+    # 512), every index is taken once, and each deal is a barrier
+    sizes = [0, 1, 2, 3, 7, 0, 511, 512, 513, 1100, 1, 0, 40]
+    forked = workers(monkeypatch, 3)
+    times = fork.shared((len(sizes), max(sizes)), np.int64)
+    early = fork.shared((len(sizes), max(sizes)), np.int64)
+    pid = fork.shared((len(sizes), max(sizes)), np.int64)
+
+    def work(deal):
+        for j, m in enumerate(sizes):
+            for c in deal(m):
+                early[j, c] = j and (times[j - 1, :sizes[j - 1]] == 0).any()
+                times[j, c] += 1
+                pid[j, c] = os.getpid()
+
+    with within(60):
+        fork.run(3, work)
+    assert len(forked) == 2
+    no_child_left()
+    for j, m in enumerate(sizes):
+        assert (times[j, :m] == 1).all() and not times[j, m:].any(), m
+        first = m // min(m, 512) if m else 0
+        assert (pid[j, :first] == os.getpid()).all(), m
+    assert not early.any()
+
+
 # A deal of more indices than the dealing pipe holds: it is written as at
 # most PIPE_BUF bytes of runs of indices.
 _LARGE = 100_000
