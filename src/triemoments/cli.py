@@ -7,8 +7,10 @@ both, as JSON {"config": ..., **document} or as CSV, a ``# config:`` line
 and the command's rows.  ``simulate --dump-raw`` also writes the sample
 matrix it summarises, as ``trial,S,K,N`` rows.  Outputs contain no
 timestamps, so they are byte-identical across runs with the same config.
-They are staged to a temp file and atomically renamed; nothing partial is
-ever left at the target path.
+A file output is staged to a temp file with the mode ``open`` would give
+it (0666 less the umask) and atomically renamed; nothing partial is ever
+left at the target path.  The exact table's CSV and the raw dump are
+formatted and written a chunk of rows at a time, never held whole.
 
 Exit codes: 0 success, 2 usage/validation, 3 numeric failure
 (series not converged/positive-definiteness/guards/floating-point
@@ -24,7 +26,9 @@ import math
 import os
 import sys
 import tempfile
+from collections.abc import Iterable, Iterator
 from functools import partial
+from itertools import chain, islice
 
 import numpy as np
 
@@ -35,26 +39,52 @@ from .errors import RatioSpecMismatch, TrieMomentsError, WorkBudgetExceeded
 # evaluates 3 (kmax + 1) terms at each of --points points
 _MAX_KMAX = 100
 _MAX_POINTS = 10_000
+# rows of a CSV formatted and written at a time, so that a large table or
+# raw dump is never held whole as Python objects or text
+_CHUNK_ROWS = 4096
 
 
 def _cfg_line(cfg: dict) -> str:
     return "# config: " + " ".join(f"{k}={cfg[k]}" for k in sorted(cfg))
 
 
-def _emit(text: str, out: str | None):
+def _chunks(lines: Iterable[str]) -> Iterator[str]:
+    """The strings ``lines``, each ended by a newline, joined _CHUNK_ROWS
+    at a time."""
+    it = iter(lines)
+    while block := list(islice(it, _CHUNK_ROWS)):
+        yield "\n".join(block) + "\n"
+
+
+def _emit(lines: Iterable[str], out: str | None):
+    """Write ``lines``, each ended by a newline, to stdout, or to a temp file
+    in the directory of ``out`` that gets mode 0o666 less the umask, as
+    ``open`` would create it, and is renamed to ``out`` once written."""
     if out in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.writelines(_chunks(lines))
         return
     target = os.path.abspath(out)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".stage-")
     try:
         with os.fdopen(fd, "w") as f:
-            f.write(text)
+            umask = os.umask(0)     # read it: os.umask also sets it
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            f.writelines(_chunks(lines))
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _table_lines(cols: list) -> Iterator[str]:
+    """The CSV lines of the rows of the equal-length numpy arrays ``cols``,
+    each value the repr of its Python number, _CHUNK_ROWS rows converted at
+    a time."""
+    for i in range(0, len(cols[0]), _CHUNK_ROWS):
+        for row in zip(*(c[i:i + _CHUNK_ROWS].tolist() for c in cols)):
+            yield ",".join(map(repr, row))
 
 
 def _flat_kv(doc: dict) -> list[str]:
@@ -87,14 +117,14 @@ def _finite(v):
     return v
 
 
-def _render(cfg: dict, doc: dict, fmt: str, csv_body=_flat_kv) -> str:
-    """The output file: JSON {"config": cfg, **doc}, with null for a
-    non-finite number (JSON has no NaN), or CSV, the ``# config:`` line and
-    then the rows csv_body(doc), where nan stays nan."""
+def _render(cfg: dict, doc: dict, fmt: str, csv_body=_flat_kv) -> Iterable[str]:
+    """The lines of the output file: JSON {"config": cfg, **doc} on one
+    line, with null for a non-finite number (JSON has no NaN), or CSV, the
+    ``# config:`` line and then the rows csv_body(doc), where nan stays
+    nan."""
     if fmt == "json":
-        return json.dumps(_finite({"config": cfg, **doc}),
-                          allow_nan=False) + "\n"
-    return "\n".join([_cfg_line(cfg)] + csv_body(doc)) + "\n"
+        return [json.dumps(_finite({"config": cfg, **doc}), allow_nan=False)]
+    return chain([_cfg_line(cfg)], csv_body(doc))
 
 
 def _parse_ratio(args) -> asym.RatioSpec | str | None:
@@ -123,7 +153,7 @@ def _rows(text: str, name: str) -> list[int]:
 # commands
 # ---------------------------------------------------------------------------
 
-def _cmd_exact(args) -> str:
+def _cmd_exact(args) -> Iterable[str]:
     if args.at is None:
         if args.nmax < 2:
             raise ValueError("nmax must be >= 2")
@@ -134,10 +164,12 @@ def _cmd_exact(args) -> str:
     # exact.compute refuses a solve above its work budget (exit 3)
     table = exact.compute(args.p, n_max, args.precision, at=at)
     cfg.update(precision=args.precision, command="exact", format=args.format)
-    cols = dict(zip(table.COLUMNS, table.columns()))
-    return _render(cfg, {"columns": cols}, args.format, lambda doc: (
-        [",".join(cols)]
-        + [",".join(map(repr, row)) for row in zip(*cols.values())]))
+    if args.format == "json":
+        return _render(cfg, {"columns": dict(zip(table.COLUMNS,
+                                                 table.columns()))}, "json")
+    cols = table.arrays()   # a degenerate table is refused before any output
+    return _render(cfg, {}, "csv", lambda doc: chain(
+        [",".join(table.COLUMNS)], _table_lines(cols)))
 
 
 def _coefficient_rows(doc: dict) -> list[str]:
@@ -148,7 +180,7 @@ def _coefficient_rows(doc: dict) -> list[str]:
     return rows
 
 
-def _cmd_asym(args) -> str:
+def _cmd_asym(args) -> Iterable[str]:
     if args.kmax > _MAX_KMAX:
         raise ValueError(f"--kmax must be <= {_MAX_KMAX}")
     if args.points > _MAX_POINTS:
@@ -181,19 +213,18 @@ def _cmd_asym(args) -> str:
     return _render(cfg, doc, args.format, _coefficient_rows)
 
 
-def _cmd_simulate(args) -> str:
+def _cmd_simulate(args) -> Iterable[str]:
     cfg = {"n": args.n, "p": args.p, "trials": args.trials, "seed": args.seed,
            "command": "simulate", "format": args.format}
     mc.check(args.n, args.p, args.trials, args.seed, 100)
     x = mc.sample_matrix(args.n, args.p, args.trials, args.seed)
     if args.dump_raw:
-        _emit("trial,S,K,N\n" + "".join(
-            f"{t},{s},{k},{n}\n" for t, (s, k, n) in enumerate(x.tolist())),
-            args.dump_raw)
+        _emit(chain(["trial,S,K,N"],
+                    _table_lines([np.arange(len(x)), *x.T])), args.dump_raw)
     return _render(cfg, mc.summary(x), args.format)
 
 
-def _cmd_whiten(args) -> str:
+def _cmd_whiten(args) -> Iterable[str]:
     cfg = {"n": args.n, "p": args.p, "trials": args.trials, "seed": args.seed,
            "source": args.source, "command": "whiten", "format": args.format}
     report = mc.whiten(args.n, args.p, args.trials, args.seed, args.source)
@@ -208,7 +239,7 @@ def _histogram_rows(doc: dict) -> list[str]:
             + [",".join(map(str, row)) for row in doc["counts"]])
 
 
-def _cmd_hist(args) -> str:
+def _cmd_hist(args) -> Iterable[str]:
     cfg = {"n": args.n, "p": args.p, "trials": args.trials, "seed": args.seed,
            "bins": args.bins, "command": "hist", "format": args.format}
     h = mc.joint_histogram(args.n, args.p, args.trials, args.seed,
@@ -224,7 +255,7 @@ def _comparison_rows(doc: dict) -> list[str]:
     return lines + [f"# {k}={summary[k]!r}" for k in sorted(summary)]
 
 
-def _cmd_compare(args) -> str:
+def _cmd_compare(args) -> Iterable[str]:
     """Exact, asymptotic and (with --trials) Monte-Carlo values side by
     side on the grid.  The Monte-Carlo inputs are ``mc.check``ed before
     anything is solved or forked; ``mc.sample_beside`` then solves the
@@ -397,8 +428,7 @@ def main(argv=None) -> int:
     try:
         parser = _build_parser()
         args = parser.parse_args(_apply_config_file(parser, argv))
-        text = args.fn(args)
-        _emit(text, args.out)
+        _emit(args.fn(args), args.out)
         return 0
     except SystemExit as e:
         return int(e.code or 0)

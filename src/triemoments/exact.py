@@ -108,10 +108,11 @@ extended   long double, which needs a 64-bit significand (x86-64); with
            is narrower.
 
 Results are plain data: ``MomentTable.columns()`` gives the table by
-column, in ``MomentTable.COLUMNS`` order, as Python numbers, and the CLI
-alone adds the configuration and writes it as CSV or JSON.  ``_canonical``
-holds the one check of p shared by the exact, asymptotic and Monte-Carlo
-routes.
+column, in ``MomentTable.COLUMNS`` order, as Python numbers, and
+``arrays()`` as numpy arrays, which the CLI formats a chunk of rows at a
+time; the CLI alone adds the configuration and writes it as CSV or JSON.
+``_canonical`` holds the one check of p shared by the exact, asymptotic
+and Monte-Carlo routes.
 
 The module also houses the Poisson model: Poisson generating functions
 of the finite moment sequences, the Poissonized variances/covariance and
@@ -354,27 +355,30 @@ class MomentTable:
     COLUMNS = ("n", "ES", "EK", "EN", "VarS", "VarK", "VarN",
                "CovSK", "CovSN", "RhoSK", "RhoSN")
 
-    def columns(self) -> list:
-        """The table by column, in COLUMNS order, each a list of Python
-        numbers: rows 0..n_max, or the rows ``at``.
+    def arrays(self) -> list:
+        """The table by column, in COLUMNS order, as numpy arrays: rows
+        0..n_max, or the rows ``at``; n is int64, the rest float64.
 
         The correlations are nan for n < 2; a variance <= 0 at n >= 2
         raises DegenerateVariance, as the rho accessors do.
         """
         if self.at is None:     # views; the correlations are nan at n < 2
-            rows, sel, lead = range(self.n_max + 1), slice(None), 2
+            rows, sel, lead = np.arange(self.n_max + 1), slice(None), 2
         else:                   # each row of at is >= 2
-            rows, sel, lead = self.at, list(self.at), 0
+            rows, sel, lead = np.array(self.at), list(self.at), 0
         vs, vk, vn = (getattr(self, k)[sel][lead:] for k in ("VarS", "VarK", "VarN"))
         bad = np.flatnonzero((vs <= 0.0) | (vk <= 0.0) | (vn <= 0.0))
         if bad.size:
             raise DegenerateVariance(
                 f"correlation undefined at n={rows[lead + bad[0]]}")
-        nan = [math.nan] * lead
-        return ([list(rows)]
-                + [getattr(self, name)[sel].tolist() for name in self.COLUMNS[1:9]]
-                + [nan + (self.CovSK[sel][lead:] / np.sqrt(vs * vk)).tolist(),
-                   nan + (self.CovSN[sel][lead:] / np.sqrt(vs * vn)).tolist()])
+        nan = np.full(lead, math.nan)
+        return ([rows] + [getattr(self, name)[sel] for name in self.COLUMNS[1:9]]
+                + [np.concatenate([nan, self.CovSK[sel][lead:] / np.sqrt(vs * vk)]),
+                   np.concatenate([nan, self.CovSN[sel][lead:] / np.sqrt(vs * vn)])])
+
+    def columns(self) -> list:
+        """``arrays()`` as lists of Python numbers."""
+        return [a.tolist() for a in self.arrays()]
 
 
 def _row(M: np.ndarray, n: int, lo: int, hi: int, p: float, q: float,

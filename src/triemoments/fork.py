@@ -1,7 +1,7 @@
 """Worker processes over shared memory: the one process layer of the exact
 DP (``exact._compute_centred``), the Monte-Carlo sampler
-(``mc.sample_matrix``, and ``mc.sample_beside``, which deals ``compare``'s
-exact cone beside its batches) and criterion 11's explicit-key check.
+(``mc.sample_beside``, which also deals ``compare``'s exact cone beside its
+batches) and criterion 11's explicit-key check.
 
 ``run(k, work)`` calls ``work(deal)`` in this process and k - 1 ``os.fork``
 children.  Fork, not spawn: a child inherits the imports, the caches and

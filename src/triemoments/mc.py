@@ -6,19 +6,20 @@ trials, so a batch holds about 2**17 keys.  Batch b covers trials
 its own counter-derived stream ``trie.trial_rng(seed, b)``.  The batch is
 the stream unit: a sample matrix of k*G trials is a prefix of any longer one
 with the same seed, and a last, shorter batch is drawn with fewer tries from
-its stream.  ``fork.run``'s ``deal`` hands the batches out to k workers,
-this process and k - 1 forked children, each batch to the first worker
-free, so a worker on a slower CPU draws fewer; each draws straight into
-the sample matrix, which lives in shared memory (``fork.shared``), so k
-changes no sample.  k is one per CPU (``fork.cpus``), at most one per
-batch, at most one per ``_WORKER_KEYS`` = 2**20 keys of the run (about
-0.15 s of drawing against a fork round trip of about 6 ms), and few enough
-that k batches together hold at most ``_MAX_KEYS`` keys.  So small runs,
-and runs pinned to one CPU (``taskset -c 0``), draw in this process
-alone.  ``sample_beside`` draws the matrices of several n by the same
-per-batch code (``_batches``) in one deal whose index 0 is another task,
-kept by this process: the CLI's ``compare`` solves its exact cone there
-while the workers draw.  Before drawing, ``check`` refuses n < 2, too few
+its stream.  ``sample_beside`` is the one drawing path: one ``fork.run``
+deals an optional task at index 0 and then every batch of one or more n to
+k workers, this process and k - 1 forked children, each job to the first
+worker free, so a worker on a slower CPU draws fewer; each draws straight
+into the sample matrix, which lives in shared memory (``fork.shared``), so
+k changes no sample.  k is one per CPU (``fork.cpus``), at most one per
+job, and few enough that k batches together hold at most ``_MAX_KEYS``
+keys.  Without a task it is also at most one per ``_WORKER_KEYS`` = 2**20
+keys of the run (about 0.15 s of drawing against a fork round trip of
+about 6 ms), so small runs, and runs pinned to one CPU (``taskset -c 0``),
+draw in this process alone.  ``sample_matrix`` is the one-n draw without a
+task; the CLI's ``compare`` passes its exact cone solve as the task, which
+this process keeps while the workers draw.  Each process builds its alias
+tables on its first draw.  Before drawing, ``check`` refuses n < 2, too few
 trials, a bad p or a seed outside [0, 2**128) with ValueError, and with
 WorkBudgetExceeded a run whose batches would hold a trie of more than
 ``_MAX_KEYS`` keys or run for more than ``_MAX_LEVELS`` levels; ``whiten``
@@ -43,7 +44,7 @@ import numpy as np
 from . import asym, exact, fork
 from .asym import SymMatrix2, invsqrt2
 from .errors import DegenerateVariance, WorkBudgetExceeded
-from .trie import _alias_tables, check_seed, sample_shapes, trial_rng
+from .trie import check_seed, sample_shapes, trial_rng
 
 _BATCH_KEYS = 2 ** 17
 _MAX_BATCH = 1024
@@ -98,73 +99,59 @@ def check(n: int, p: float, trials: int, seed: int, least: int) -> None:
     check_seed(seed)
 
 
-def _batches(n: int, p: float, trials: int, seed: int):
-    """(the shared (trials, 3) sample matrix, its batch count, draw), where
-    draw(b) draws batch b with one ``sample_shapes`` call into its rows."""
+def _draw(out: np.ndarray, n: int, p: float, seed: int, b: int) -> None:
+    """Draw batch b of n-key tries with one ``sample_shapes`` call into its
+    rows of the sample matrix ``out``."""
     g = _batch_size(n)
-    out = fork.shared((trials, 3), np.int64)
-
-    def draw(b):
-        rows = sample_shapes(n, p, min(g, trials - b * g), trial_rng(seed, b))
-        out[b * g:b * g + len(rows)] = rows[:, :3]
-
-    return out, -(-trials // g), draw
+    rows = sample_shapes(n, p, min(g, len(out) - b * g), trial_rng(seed, b))
+    out[b * g:b * g + len(rows)] = rows[:, :3]
 
 
 def sample_matrix(n: int, p: float, trials: int, seed: int) -> np.ndarray:
-    """(trials, 3) matrix of (S, K, N) samples, deterministic per seed.
-
-    ``check``s its inputs with a floor of 2 trials, then draws each batch
-    with one ``sample_shapes`` call, dealt by ``fork.run`` to k workers, k =
-    max(1, min(CPUs, batches, trials n // _WORKER_KEYS, _MAX_KEYS // keys a
-    batch)), each batch to the first worker free, into the shared matrix;
-    every row is the same for every k.
-    """
+    """(trials, 3) matrix of (S, K, N) samples, deterministic per seed:
+    ``check``ed with a floor of 2 trials, then ``sample_beside(None, [n],
+    ...)``'s one matrix."""
     check(n, p, trials, seed, 2)
-    out, batches, draw = _batches(n, p, trials, seed)
-    k = max(1, min(fork.cpus(), batches, trials * n // _WORKER_KEYS,
-                   _MAX_KEYS // (_batch_size(n) * n)))
-
-    def work(deal):
-        for b in deal(batches):
-            draw(b)
-
-    _alias_tables(p)    # built before any fork, so the workers inherit it
-    fork.run(k, work)
-    return out
+    return sample_beside(None, [n], p, trials, seed)[1][0]
 
 
 def sample_beside(task, ns, p: float, trials: int, seed: int):
     """(task(), [sample_matrix(n, p, trials, seed) for n in ns]), with
     ``task`` run while the samples are drawn, for inputs already
-    ``check``ed.
+    ``check``ed; with ``task`` None, (None, the matrices).
 
-    One ``fork.run`` deals index 0, ``task``, and then every batch of every
-    n, in order, to k = max(1, min(CPUs, 1 + batches, _MAX_KEYS // keys of
-    the largest batch)) workers.  This process takes index 0, so ``task``'s
-    result stays here and a ``task`` that forks (a large exact solve) forks
-    from here.  With one worker, ``task`` runs first.  Every matrix,
-    len(ns) x trials x 24 B, is allocated before ``task`` starts.
+    One ``fork.run`` deals index 0, ``task`` if there is one, and then every
+    batch of every n, in order, each with one ``sample_shapes`` call, to k =
+    max(1, min(CPUs, jobs, _MAX_KEYS // keys of the largest batch, jobs if
+    there is a task else trials * sum(ns) // _WORKER_KEYS)) workers, into
+    the shared matrices; every row is the same for every k.  This process
+    takes index 0, so ``task``'s result stays here and a ``task`` that forks
+    (a large exact solve) forks from here.  With one worker, ``task`` runs
+    first.  Every matrix, len(ns) x trials x 24 B, is allocated before
+    ``task`` starts.
     """
     try:
-        draws = [_batches(n, p, trials, seed) for n in ns]
+        outs = [fork.shared((trials, 3), np.int64) for _ in ns]
     except MemoryError:     # task's own refusal first, as in one process
-        task()
+        if task is not None:
+            task()
         raise
-    got = []
-    jobs = [lambda: got.append(task())] + [
-        partial(draw, b) for _, batches, draw in draws for b in range(batches)]
+    got = {}
+    jobs = [partial(_draw, out, n, p, seed, b) for out, n in zip(outs, ns)
+            for b in range(-(-trials // _batch_size(n)))]
+    cap = trials * sum(ns) // _WORKER_KEYS     # workers that pay their fork
+    if task is not None:    # the task's time hides the forks
+        jobs.insert(0, lambda: got.update(task=task()))
+        cap = len(jobs)
     k = max(1, min(fork.cpus(), len(jobs),
-                   _MAX_KEYS // max(_batch_size(n) * n for n in ns)))
+                   _MAX_KEYS // max(_batch_size(n) * n for n in ns), cap))
 
     def work(deal):
         for i in deal(len(jobs)):
             jobs[i]()
 
-    # no _alias_tables(p) here: this process starts on task, and the
-    # tables are built by the first batch a process draws
     fork.run(k, work)
-    return got[0], [out for out, _, _ in draws]
+    return got.get("task"), outs
 
 
 def _centre(x: np.ndarray):

@@ -1,8 +1,10 @@
 import collections
+import dataclasses
 import json
 import math
 import os
 import random
+import stat
 import subprocess
 import sys
 import time
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import no_child_left, within, workers
-from triemoments import exact, mc
+from triemoments import cli, exact, mc
 from triemoments.cli import main
 
 
@@ -86,13 +88,57 @@ class TestExact:
         assert outs[0] == outs[1] == outs[2]
 
     def test_atomic_out_file(self, tmp_path, capsys):
-        out = tmp_path / "table.csv"
-        code, _, _ = run_cli(["exact", "--p", "0.5", "--nmax", "16",
-                              "--out", str(out)], capsys)
-        assert code == 0
-        assert out.read_text().startswith("# config:")
+        # the staged file gets the mode a plain open would give it
+        for umask in (0o022, 0o002):
+            out, raw = tmp_path / f"{umask:o}.csv", tmp_path / f"{umask:o}.raw"
+            umask = os.umask(umask)
+            try:
+                code, _, _ = run_cli(["exact", "--p", "0.5", "--nmax", "16",
+                                      "--out", str(out)], capsys)
+                assert code == 0
+                code, _, _ = run_cli(["simulate", "--p", "0.5", "--n", "16",
+                                      "--trials", "100", "--dump-raw",
+                                      str(raw)], capsys)
+                assert code == 0
+            finally:
+                umask = os.umask(umask)
+            assert out.read_text().startswith("# config:")
+            for f in (out, raw):
+                assert stat.S_IMODE(f.stat().st_mode) == 0o666 & ~umask, f
         leftovers = [f for f in tmp_path.iterdir() if f.name.startswith(".stage")]
         assert not leftovers
+
+    @pytest.mark.parametrize("rows", [
+        ["--nmax", str(cli._CHUNK_ROWS - 3)], ["--nmax", str(cli._CHUNK_ROWS - 1)],
+        ["--nmax", str(cli._CHUNK_ROWS)], ["--nmax", str(cli._CHUNK_ROWS + 1)],
+        ["--at", f"{cli._CHUNK_ROWS + 1},2,77"]])
+    def test_csv_written_in_chunks_renders_columns(self, capsys, rows):
+        # the CSV is formatted and written _CHUNK_ROWS rows and lines at a
+        # time; n_max + 3 lines fill one chunk exactly at chunk - 3, and
+        # n_max + 1 rows fill one at chunk - 1
+        code, out, _ = run_cli(["exact", "--p", "0.3"] + rows, capsys)
+        assert code == 0
+        if rows[0] == "--nmax":
+            table = exact.compute(0.3, int(rows[1]))
+        else:
+            table = exact.compute(0.3, cli._CHUNK_ROWS + 1,
+                                  at=[2, 77, cli._CHUNK_ROWS + 1])
+        assert out.endswith("\n")
+        assert out.splitlines()[1:] == [",".join(table.COLUMNS)] + [
+            ",".join(map(repr, row)) for row in zip(*table.columns())]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_degenerate_table_writes_nothing(self, monkeypatch, capsys, fmt):
+        # the table is refused before the first byte of its output
+        t = exact.compute(0.3, 16)
+        bad = t.VarK.copy()
+        bad[7] = 0.0
+        monkeypatch.setattr(exact, "compute",
+                            lambda *a, **k: dataclasses.replace(t, VarK=bad))
+        code, out, err = run_cli(["exact", "--p", "0.3", "--nmax", "16",
+                                  "--format", fmt], capsys)
+        assert code == 3 and out == ""
+        assert err == "numeric error: correlation undefined at n=7\n"
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(["exact", "--p", "0.5", "--nmax", "8",

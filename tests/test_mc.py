@@ -13,7 +13,8 @@ from triemoments import (DegenerateVariance, DepthGuardExceeded,
                          WorkBudgetExceeded, run, whiten, joint_histogram)
 from triemoments.mc import (_MAX_KEYS, _MAX_LEVELS, _WORKER_KEYS,
                             _batch_height, _batch_size, ks_normal,
-                            marginal_diagnostics, sample_matrix, summary)
+                            marginal_diagnostics, sample_beside,
+                            sample_matrix, summary)
 from triemoments.trie import _default_max_depth, sample_shapes, trial_rng
 
 
@@ -266,18 +267,28 @@ _WORKER_SHAPE = (1000, 0.3, 3159)
 
 def test_sample_matrix_rows_equal_for_every_worker_count(monkeypatch):
     # the batches are dealt to forked workers, and every row is the same for
-    # any number of them; one worker per 2**20 keys of the run at most
+    # any number of them; one worker per 2**20 keys of the run at most.
+    # sample_beside without a task draws each n's matrix as sample_matrix
+    # does, on the same one path
     n, p, trials = _WORKER_SHAPE
     g = _batch_size(n)
     assert n * trials >= 3 * _WORKER_KEYS and trials % g == 15
-    rows = {}
+    rows, both = {}, {}
     for k in (1, 2, 3):
         forked = workers(monkeypatch, k)
         with within(60):
             rows[k] = sample_matrix(n, p, trials, seed=4)
         assert len(forked) == k - 1
+        with within(60):
+            both[k] = sample_beside(None, [n, 40], p, trials, seed=4)
+        assert len(forked) == 2 * (k - 1)
         no_child_left()
     assert all(np.array_equal(rows[1], rows[k]) for k in (2, 3))
+    want = [rows[1], sample_matrix(40, p, trials, seed=4)]
+    for k in (1, 2, 3):
+        assert both[k][0] is None
+        assert len(both[k][1]) == 2
+        assert all(np.array_equal(a, b) for a, b in zip(both[k][1], want))
     last = sample_shapes(n, p, 15, trial_rng(4, trials // g))[:, :3]
     assert np.array_equal(rows[3][-15:], last)
     # one worker per 2**20 keys: a smaller run is drawn here alone
