@@ -117,7 +117,8 @@ def _finite(v):
     return v
 
 
-def _render(cfg: dict, doc: dict, fmt: str, csv_body=_flat_kv) -> Iterable[str]:
+def _render(cfg: dict, doc: dict, fmt: str,
+            csv_body=_flat_kv) -> Iterable[str]:
     """The lines of the output file: JSON {"config": cfg, **doc} on one
     line, with null for a non-finite number (JSON has no NaN), or CSV, the
     ``# config:`` line and then the rows csv_body(doc), where nan stays

@@ -372,9 +372,10 @@ class MomentTable:
             raise DegenerateVariance(
                 f"correlation undefined at n={rows[lead + bad[0]]}")
         nan = np.full(lead, math.nan)
-        return ([rows] + [getattr(self, name)[sel] for name in self.COLUMNS[1:9]]
-                + [np.concatenate([nan, self.CovSK[sel][lead:] / np.sqrt(vs * vk)]),
-                   np.concatenate([nan, self.CovSN[sel][lead:] / np.sqrt(vs * vn)])])
+        rho_sk = self.CovSK[sel][lead:] / np.sqrt(vs * vk)
+        rho_sn = self.CovSN[sel][lead:] / np.sqrt(vs * vn)
+        return ([rows] + [getattr(self, k)[sel] for k in self.COLUMNS[1:9]]
+                + [np.concatenate([nan, rho_sk]), np.concatenate([nan, rho_sn])])
 
     def columns(self) -> list:
         """``arrays()`` as lists of Python numbers."""
