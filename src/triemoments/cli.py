@@ -59,22 +59,26 @@ def _chunks(lines: Iterable[str]) -> Iterator[str]:
 def _emit(lines: Iterable[str], out: str | None):
     """Write ``lines``, each ended by a newline, to stdout, or to a temp file
     in the directory of ``out`` that gets mode 0o666 less the umask, as
-    ``open`` would create it, and is renamed to ``out`` once written."""
+    ``open`` would create it, and is renamed to ``out`` once written.  An
+    OSError names ``out``, not the temp file."""
     if out in (None, "-"):
         sys.stdout.writelines(_chunks(lines))
         return
-    target = os.path.abspath(out)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".stage-")
+    target, tmp = os.path.abspath(out), None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target),
+                                   prefix=".stage-")
         with os.fdopen(fd, "w") as f:
             umask = os.umask(0)     # read it: os.umask also sets it
             os.umask(umask)
             os.chmod(tmp, 0o666 & ~umask)
             f.writelines(_chunks(lines))
         os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as e:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(e, OSError):
+            raise OSError(e.errno, e.strerror, out) from None
         raise
 
 

@@ -71,11 +71,11 @@ them); after it 23 waves of 8 to 727 rows hold 96 % of the 2.26e6 cells
 to n_max = 4096 (28 waves and 99.5 % to 16384; 22 waves and 99.995 % in
 the cone of 2^20 at p = 1/2).  At p = 0.1 and below, no table to 4096 has
 a wave.  The rows before the first wave of _WAVE_ROWS rows are solved in
-this process.  Each later wave is cut into up to 4 k chunks of about
-equal cells, which ``fork.run``'s ``deal`` hands out to its k workers (this
-process and k - 1 forked children), each chunk to the first worker free,
-so a worker on a slower or busier CPU takes fewer; the chunks of the next
-wave are dealt only when every chunk of this one is solved.
+this process.  ``fork.run``'s ``deal`` hands out the rows of each later
+wave to its k workers (this process and k - 1 forked children), in runs of
+consecutive rows, each run to the first worker free, so a worker on a
+slower or busier CPU takes fewer; the rows of the next wave are dealt only
+when every row of this one is solved.  ``fork.run`` picks
 k = max(1, min(CPUs, wave cells // _WORKER_CELLS)), so a solve of fewer
 than 2^21 wave cells (the cone of n = 64, 256 and 1024 at p = 1/2 has
 1.45e5), or one on a single CPU (``taskset -c 0``), runs in this process
@@ -384,9 +384,9 @@ class MomentTable:
 
 def _row(M: np.ndarray, n: int, lo: int, hi: int, p: float, q: float,
          dtype, ratios: tuple, tiny) -> None:
-    """Fill column n of the moment array M from its columns k and n - k,
-    k in the window [lo, hi]: the one step of the recurrence.  The rows of
-    M are ES, EK, EN, VarS, VarK, CovSK, CovSN and VarN."""
+    """Fill column n of the moment array M, rows in MomentTable.COLUMNS[1:9]
+    order, from its columns k and n - k, k in the window [lo, hi]: the one
+    step of the recurrence."""
     w = _binom_weights(n, p, q, dtype, lo, hi, ratios)
     if w[0] < tiny or w[-1] < tiny:
         # at tiny p the window reaches past underflow: drop the zero and
@@ -417,9 +417,9 @@ def _row(M: np.ndarray, n: int, lo: int, hi: int, p: float, q: float,
     Q = (D * w) @ D.T
     M[3, n] = vss = (lin[3] + Q[0, 0] + wb) / denom
     M[4, n] = (lin[4] + Q[1, 1] + wb * (float(n) * n)) / denom
-    M[5, n] = (lin[5] + Q[0, 1] + wb * n) / denom
-    M[6, n] = vsn = (lin[6] + lin[3] + Q[0, 2] + wb * (vss + ms)) / denom
-    M[7, n] = (lin[7] + 2.0 * lin[6] + lin[3] + Q[2, 2]
+    M[6, n] = (lin[6] + Q[0, 1] + wb * n) / denom
+    M[7, n] = vsn = (lin[7] + lin[3] + Q[0, 2] + wb * (vss + ms)) / denom
+    M[5, n] = (lin[5] + 2.0 * lin[7] + lin[3] + Q[2, 2]
                + wb * (2.0 * vsn + vss + ms * ms)) / denom
 
 
@@ -452,44 +452,30 @@ def _compute_centred(p: float, q: float, n_max: int, rows: np.ndarray,
     stays zero.
 
     The rows before the first wave of _WAVE_ROWS rows are solved here, one
-    after another.  Each later wave of ``_waves`` is cut into chunks of
-    about equal cells, four for each of the k workers of ``fork.run``,
-    k = max(1, min(CPUs, their cells // _WORKER_CELLS)), and ``deal`` hands
-    the chunks of one wave out, each to the first worker free, before those
-    of the next.
+    after another.  Each later wave of ``_waves`` is dealt out row by row
+    (``fork.run``'s ``deal``, which groups the rows into runs), each run to
+    the first worker free, before the rows of the next; ``fork.run`` picks
+    the workers, at most one per _WORKER_CELLS cells of the waves.
     """
     waves = _waves(rows, lows, highs)
     first = next((a for a, b in waves if b - a >= _WAVE_ROWS), rows.size)
     waves = [(a, b) for a, b in waves if a >= first]
-    # cells[j]: the cells of the rows before rows[j]
-    cells = np.zeros(rows.size + 1, np.int64)
-    np.cumsum(highs[rows] - lows[rows] + 1, out=cells[1:])
-    k = max(1, min(fork.cpus(), int(cells[-1] - cells[first]) // _WORKER_CELLS))
-    # cuts[j][c]: the first row of chunk c of wave j, by cumulative cells;
-    # four chunks a worker, so that one on a slower CPU can take fewer
-    cuts = []
-    for a, b in waves:
-        m = min(b - a, 4 * k)
-        cuts.append([a] + np.searchsorted(
-            cells, np.linspace(cells[a], cells[b], m + 1)[1:-1]).tolist() + [b])
+    wave_cells = int((highs[rows[first:]] - lows[rows[first:]] + 1).sum())
     M = fork.shared((8, n_max + 1), dtype)
     ratios = _ratio_tables(n_max, p, q, dtype)
     tiny = np.finfo(dtype).tiny
     ns, lows, highs = rows.tolist(), lows.tolist(), highs.tolist()
-
-    def solve(part):
-        for n in part:
-            _row(M, n, lows[n], highs[n], p, q, dtype, ratios, tiny)
-
-    solve(ns[:first])
+    for n in ns[:first]:
+        _row(M, n, lows[n], highs[n], p, q, dtype, ratios, tiny)
 
     def work(deal):
-        for cut in cuts:
-            for c in deal(len(cut) - 1):
-                solve(ns[cut[c]:cut[c + 1]])
+        for a, b in waves:
+            for i in deal(b - a):
+                n = ns[a + i]
+                _row(M, n, lows[n], highs[n], p, q, dtype, ratios, tiny)
 
-    fork.run(k, work)
-    return dict(zip(("ES", "EK", "EN", "VarS", "VarK", "CovSK", "CovSN", "VarN"), M))
+    fork.run(work, wave_cells // _WORKER_CELLS)
+    return dict(zip(MomentTable.COLUMNS[1:9], M))
 
 
 def compute(p: float, n_max: int, precision: str = "standard",

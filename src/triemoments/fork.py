@@ -3,13 +3,15 @@ DP (``exact._compute_centred``), the Monte-Carlo sampler
 (``mc.sample_beside``, which also deals ``compare``'s exact cone beside its
 batches) and criterion 11's explicit-key check.
 
-``run(k, work)`` calls ``work(deal)`` in this process and k - 1 ``os.fork``
-children.  Fork, not spawn: a child inherits the imports, the caches and
-every array built before the call, and writes its results into arrays from
-``shared``, anonymous memory mapped shared, which this process reads in
-place; nothing is copied back.  Where a pipe or a fork fails (pids or fds
-run out), ``run`` goes on with the workers it has: no result depends on
-their number.
+``run(work, most)`` calls ``work(deal)`` in this process and k - 1
+``os.fork`` children.  It is the one place that picks k = max(1, min(CPUs,
+most, _RUNS)): each caller passes ``most``, the most workers its work can
+use or pay for, and never counts CPUs itself.  Fork, not spawn: a child
+inherits the imports, the caches and every array built before the call, and
+writes its results into arrays from ``shared``, anonymous memory mapped
+shared, which this process reads in place; nothing is copied back.  Where a
+pipe or a fork fails (pids or fds run out), ``run`` goes on with the
+workers it has: no result depends on their number.
 
 ``deal(m)``, the one way work is handed out, yields the indices 0..m-1,
 each to the first worker that asks, so a worker on a slower CPU takes
@@ -139,8 +141,10 @@ def _serve(work, take: int, report: int, release: int) -> None:
         os._exit(code)
 
 
-def run(k: int, work) -> None:
-    """Call ``work(deal)`` here and in min(k, _RUNS) - 1 forked children."""
+def run(work, most: int) -> None:
+    """Call ``work(deal)`` here and in k - 1 forked children, where k =
+    max(1, min(cpus(), most, _RUNS)) is picked here alone."""
+    k = max(1, min(cpus(), most, _RUNS))
     if k > 1:
         try:
             take, give = os.pipe()
@@ -164,7 +168,7 @@ def run(k: int, work) -> None:
             os.write(c.release, b"G")
 
     try:
-        for _ in range(min(k, _RUNS) - 1):
+        for _ in range(k - 1):
             fds = []
             try:
                 fds += os.pipe()

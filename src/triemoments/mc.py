@@ -8,13 +8,14 @@ the stream unit: a sample matrix of k*G trials is a prefix of any longer one
 with the same seed, and a last, shorter batch is drawn with fewer tries from
 its stream.  ``sample_beside`` is the one drawing path: one ``fork.run``
 deals an optional task at index 0 and then every batch of one or more n to
-k workers, this process and k - 1 forked children, each job to the first
+its workers, this process and the children it forks, each job to the first
 worker free, so a worker on a slower CPU draws fewer; each draws straight
 into the sample matrix, which lives in shared memory (``fork.shared``), so
-k changes no sample.  k is one per CPU (``fork.cpus``), at most one per
-job, and few enough that k batches together hold at most ``_MAX_KEYS``
-keys.  Without a task it is also at most one per ``_WORKER_KEYS`` = 2**20
-keys of the run (about 0.15 s of drawing against a fork round trip of
+the number of workers changes no sample.  ``fork.run`` picks that number,
+at most one per CPU, under the bound passed here: at most one worker per
+job, and few enough that their batches together hold at most ``_MAX_KEYS``
+keys.  Without a task the bound is also one worker per ``_WORKER_KEYS`` =
+2**20 keys of the run (about 0.15 s of drawing against a fork round trip of
 about 6 ms), so small runs, and runs pinned to one CPU (``taskset -c 0``),
 draw in this process alone.  ``sample_matrix`` is the one-n draw without a
 task; the CLI's ``compare`` passes its exact cone solve as the task, which
@@ -121,10 +122,10 @@ def sample_beside(task, ns, p: float, trials: int, seed: int):
     ``check``ed; with ``task`` None, (None, the matrices).
 
     One ``fork.run`` deals index 0, ``task`` if there is one, and then every
-    batch of every n, in order, each with one ``sample_shapes`` call, to k =
-    max(1, min(CPUs, jobs, _MAX_KEYS // keys of the largest batch, jobs if
-    there is a task else trials * sum(ns) // _WORKER_KEYS)) workers, into
-    the shared matrices; every row is the same for every k.  This process
+    batch of every n, in order, each with one ``sample_shapes`` call, to at
+    most min(jobs, _MAX_KEYS // keys of the largest batch, jobs if there is
+    a task else trials * sum(ns) // _WORKER_KEYS) workers, into the shared
+    matrices; every row is the same for any number of workers.  This process
     takes index 0, so ``task``'s result stays here and a ``task`` that forks
     (a large exact solve) forks from here.  With one worker, ``task`` runs
     first.  Every matrix, len(ns) x trials x 24 B, is allocated before
@@ -143,14 +144,14 @@ def sample_beside(task, ns, p: float, trials: int, seed: int):
     if task is not None:    # the task's time hides the forks
         jobs.insert(0, lambda: got.update(task=task()))
         cap = len(jobs)
-    k = max(1, min(fork.cpus(), len(jobs),
-                   _MAX_KEYS // max(_batch_size(n) * n for n in ns), cap))
+    most = min(len(jobs), cap,
+               _MAX_KEYS // max(_batch_size(n) * n for n in ns))
 
     def work(deal):
         for i in deal(len(jobs)):
             jobs[i]()
 
-    fork.run(k, work)
+    fork.run(work, most)
     return got.get("task"), outs
 
 

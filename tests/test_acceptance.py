@@ -148,12 +148,11 @@ def test_criterion_10_poisson_residuals(table_03, table_05):
 def _explicit_key_shapes(n: int, p: float, trials: int, seed: int):
     """(trials, 3) shapes of tries over explicit keys: trial t draws its
     keys from its own stream trial_rng(seed, t), and key_shapes measures
-    1024 tries a call.  The calls are dealt out to one worker process per
-    CPU (``fork.run``); the streams are independent, so the split changes
-    no sample."""
+    1024 tries a call.  The calls are dealt out to up to one worker process
+    per call (``fork.run``, which counts the CPUs); the streams are
+    independent, so the split changes no sample."""
     out = fork.shared((trials, 3), np.float64)
     starts = range(0, trials, 1024)
-    k = fork.cpus()
 
     def work(deal):
         for b in deal(len(starts)):
@@ -162,7 +161,7 @@ def _explicit_key_shapes(n: int, p: float, trials: int, seed: int):
                              for t in range(start, stop)])
             out[start:stop] = key_shapes(bits)[:, :3]
 
-    fork.run(k, work)
+    fork.run(work, len(starts))
     return out
 
 

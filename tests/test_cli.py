@@ -108,6 +108,23 @@ class TestExact:
         leftovers = [f for f in tmp_path.iterdir() if f.name.startswith(".stage")]
         assert not leftovers
 
+    def test_unwritable_out_names_the_path_asked_for(self, tmp_path, capsys):
+        # a missing directory fails the staging, a directory the rename;
+        # either way stderr names --out or --dump-raw, the same every run
+        (tmp_path / "dir").mkdir()
+        for path in (tmp_path / "missing" / "x.csv", tmp_path / "dir"):
+            for argv in (["exact", "--p", "0.3", "--nmax", "10",
+                          "--out", str(path)],
+                         ["simulate", "--p", "0.5", "--n", "16", "--trials",
+                          "100", "--dump-raw", str(path)]):
+                errs = [run_cli(argv, capsys)[::2] for _ in range(2)]
+                assert errs[0] == errs[1], argv
+                code, err = errs[0]
+                assert code == 4 and repr(str(path)) in err, err
+                assert ".stage-" not in err, err
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["dir"]
+        assert not any((tmp_path / "dir").iterdir())
+
     @pytest.mark.parametrize("rows", [
         ["--nmax", str(cli._CHUNK_ROWS - 3)], ["--nmax", str(cli._CHUNK_ROWS - 1)],
         ["--nmax", str(cli._CHUNK_ROWS)], ["--nmax", str(cli._CHUNK_ROWS + 1)],

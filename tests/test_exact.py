@@ -204,10 +204,13 @@ def test_extended_cells_weigh_more(monkeypatch):
 
 
 # Solves with waves; with _WORKER_CELLS = 1 each is split over every CPU.
+# The largest wave to 4096 at p = 0.3 holds 727 rows, more than a deal's
+# 512 runs, so some runs hold two rows.
 _FORKED = [(0.3, 1500, None, "standard"), (0.7, 1500, None, "standard"),
            (0.3, 1500, None, "extended"), (0.7, 1500, None, "extended"),
            (0.5, 3000, (777, 3000), "standard"),
-           (0.5, 3000, (777, 3000), "extended")]
+           (0.5, 3000, (777, 3000), "extended"),
+           (0.3, 4096, None, "standard")]
 
 
 def test_tables_equal_for_every_worker_count(monkeypatch):
@@ -221,12 +224,13 @@ def test_tables_equal_for_every_worker_count(monkeypatch):
         for p, n_max, at, precision in _FORKED:
             with within(60):
                 t = compute(p, n_max, precision, at=at)
-            tables[k, min(p, 0.3), precision] = [getattr(t, name).tobytes()
-                                                  for name in ROWS]
+            rows = [getattr(t, name).tobytes() for name in ROWS]
+            key = k, min(p, 1 - p), n_max, precision
+            assert tables.setdefault(key, rows) == rows, (p, n_max, precision)
             no_child_left()
         assert len(forked) == (k - 1) * len(_FORKED)
-    for (k, p, precision), rows in tables.items():
-        assert rows == tables[1, p, precision], (k, p, precision)
+    for (k, *shape), rows in tables.items():
+        assert rows == tables[(1, *shape)], (k, *shape)
 
 
 def test_small_solves_stay_in_this_process(monkeypatch):

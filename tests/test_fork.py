@@ -26,7 +26,7 @@ def test_deal_hands_each_index_to_one_worker_between_barriers(monkeypatch):
                 times[j, c] += 1
 
     with within(60):    # the workers are killed and reaped when it fires
-        fork.run(k, work)
+        fork.run(work, k)
     assert len(forked) == k - 1
     no_child_left()
     assert (times == np.tri(deals, k=-1, dtype=np.int64)).all()
@@ -51,7 +51,7 @@ def test_dealing_process_keeps_run_0(monkeypatch):
                 pid[j, c] = os.getpid()
 
     with within(60):
-        fork.run(3, work)
+        fork.run(work, 3)
     assert len(forked) == 2
     no_child_left()
     for j, m in enumerate(sizes):
@@ -59,6 +59,25 @@ def test_dealing_process_keeps_run_0(monkeypatch):
         first = m // min(m, 512) if m else 0
         assert (pid[j, :first] == os.getpid()).all(), m
     assert not early.any()
+
+
+@pytest.mark.parametrize("cpus, most, forks", [
+    (4, -1, 0), (4, 0, 0), (4, 1, 0), (4, 2, 1), (3, 10, 2)])
+def test_run_picks_the_workers(monkeypatch, cpus, most, forks):
+    # k = max(1, min(CPUs, most)): a caller's bound below 2 forks nothing,
+    # and the CPUs bound a larger one; every index is taken once
+    forked = workers(monkeypatch, cpus)
+    taken = fork.shared((20,), np.int64)
+
+    def work(deal):
+        for j in deal(20):
+            taken[j] += 1
+
+    with within(60):
+        fork.run(work, most)
+    assert len(forked) == forks
+    no_child_left()
+    assert (taken == 1).all()
 
 
 # A deal of more indices than the dealing pipe holds: it is written as at
@@ -86,7 +105,7 @@ def test_large_deal_hands_each_index_to_one_worker(monkeypatch):
             pid[j] = os.getpid()
 
     with within(60):
-        fork.run(3, work)
+        fork.run(work, 3)
     no_child_left()
     assert (taken == 1).all()
     assert set(pid.tolist()) == {os.getpid(), *forked}
@@ -103,7 +122,7 @@ def test_worker_dying_in_a_large_deal(monkeypatch):
             die()
 
     with within(60), pytest.raises(TrieMomentsError) as e:
-        fork.run(3, work)
+        fork.run(work, 3)
     assert str(e.value) in [f"worker process {pid} ended without a result"
                             for pid in forked]
     no_child_left()
