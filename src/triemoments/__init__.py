@@ -15,11 +15,11 @@ from .asym import (FourierCoeffs, IRRATIONAL, ModelParams, RatioSpec,
                    SymMatrix2, F_of_n, F_profile, cov_coeffs, detect_ratio,
                    fluct_eval, g1_sym, g2_general, g2_sym, g3_sym, invsqrt2,
                    params, sigma_matrix, sqrt2, sym_coeffs)
-from .errors import (DegenerateVariance, DepthGuardExceeded, GuardExceeded,
-                     KeyExhausted, NotPositiveDefinite, PoleError,
-                     RatioSpecMismatch, TrieMomentsError,
-                     TruncationNotConverged, WorkBudgetExceeded)
-from .exact import MomentTable, PoissonModel, PoissonSeries, compute
+from .errors import (DegenerateVariance, DepthGuardExceeded, KeyExhausted,
+                     NotPositiveDefinite, PoleError, RatioSpecMismatch,
+                     TrieMomentsError, TruncationNotConverged,
+                     WorkBudgetExceeded)
+from .exact import MomentTable, compute
 from .gammafn import cdigamma, cgamma
 from .mc import joint_histogram, run, whiten
 from .trie import key_shapes, sample_keys, sample_shapes, trial_rng
@@ -31,10 +31,10 @@ __all__ = [
     "F_of_n", "F_profile", "cov_coeffs", "detect_ratio", "fluct_eval",
     "g1_sym", "g2_general", "g2_sym", "g3_sym", "invsqrt2", "params",
     "sigma_matrix", "sqrt2", "sym_coeffs",
-    "DegenerateVariance", "DepthGuardExceeded", "GuardExceeded",
-    "KeyExhausted", "NotPositiveDefinite", "PoleError", "RatioSpecMismatch",
+    "DegenerateVariance", "DepthGuardExceeded", "KeyExhausted",
+    "NotPositiveDefinite", "PoleError", "RatioSpecMismatch",
     "TrieMomentsError", "TruncationNotConverged", "WorkBudgetExceeded",
-    "MomentTable", "PoissonModel", "PoissonSeries", "compute",
+    "MomentTable", "compute",
     "cdigamma", "cgamma",
     "joint_histogram", "run", "whiten",
     "key_shapes", "sample_keys", "sample_shapes", "trial_rng",

@@ -12,10 +12,10 @@ it (0666 less the umask) and atomically renamed; nothing partial is ever
 left at the target path.  The exact table's CSV and the raw dump are
 formatted and written a chunk of rows at a time, never held whole.
 
-Exit codes: 0 success, 2 usage/validation, 3 numeric failure
-(series not converged/positive-definiteness/guards/floating-point
-overflow), a Monte-Carlo batch or an exact solve above its work budget or
-out of memory, 4 I/O failure.
+Exit codes: 0 success, 2 usage/validation, 3 numeric failure (series not
+converged, positive definiteness, the Monte-Carlo depth guard
+DepthGuardExceeded, floating-point overflow), a Monte-Carlo batch or an
+exact solve above its work budget or out of memory, 4 I/O failure.
 """
 
 from __future__ import annotations

@@ -22,10 +22,6 @@ class WorkBudgetExceeded(TrieMomentsError):
     """A Monte-Carlo run or an exact solve would exceed its work budget."""
 
 
-class GuardExceeded(TrieMomentsError):
-    """Poisson series evaluated beyond the radius its length certifies."""
-
-
 class DegenerateVariance(TrieMomentsError):
     """Correlation requested where a variance is zero (n < 2)."""
 

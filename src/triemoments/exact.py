@@ -98,7 +98,7 @@ window, the linear reduction is numpy's pairwise sum and the Gram matrix
 one matmul, so output is byte-identical per machine and BLAS build.  The
 table holds the eight rows the recurrence carries, the three means and the
 five centred second moments, each rounded to float64 once at the end; a
-raw moment is Var + mean * mean (``PoissonModel`` forms the ones it uses).
+raw moment is Var + mean * mean.
 
 standard   float64.
 extended   long double, which needs a 64-bit significand (x86-64); with
@@ -113,22 +113,19 @@ column, in ``MomentTable.COLUMNS`` order, as Python numbers, and
 time; the CLI alone adds the configuration and writes it as CSV or JSON.
 ``_canonical`` holds the one check of p shared by the exact, asymptotic
 and Monte-Carlo routes.
-
-The module also houses the Poisson model: Poisson generating functions
-of the finite moment sequences, the Poissonized variances/covariance and
-the two covariance toll functions.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fork
-from .errors import DegenerateVariance, GuardExceeded, WorkBudgetExceeded
+from .errors import DegenerateVariance, WorkBudgetExceeded
 
 # The dtype of precision "extended": x86-64's 80-bit long double carries a
 # 64-bit significand, 11 bits more than float64.  Where long double is only
@@ -478,6 +475,14 @@ def _compute_centred(p: float, q: float, n_max: int, rows: np.ndarray,
     return dict(zip(MomentTable.COLUMNS[1:9], M))
 
 
+def _integer(v, name: str) -> int:
+    """v as a Python int; a float or any other non-integer is refused."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {v!r}") from None
+
+
 def compute(p: float, n_max: int, precision: str = "standard",
             at=None) -> MomentTable:
     """Solve the moment recurrences exactly at fixed p, for all n <= n_max,
@@ -488,10 +493,11 @@ def compute(p: float, n_max: int, precision: str = "standard",
     refused with WorkBudgetExceeded before any DP work.
     """
     p_eff, q_eff = _canonical(p)
+    n_max = _integer(n_max, "n_max")
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     if at is not None:
-        at = tuple(sorted({int(n) for n in at}))
+        at = tuple(sorted({_integer(n, "a row of at") for n in at}))
         if not at or at[0] < 2 or at[-1] > n_max:
             raise ValueError("at must hold rows in 2..n_max")
     if precision not in ("standard", "extended"):
@@ -522,114 +528,3 @@ def compute(p: float, n_max: int, precision: str = "standard",
     t = _compute_centred(p_eff, q_eff, n_max, rows, lows, highs, dtype)
     return MomentTable(p=p, n_max=n_max, precision=precision, at=at,
                        **{k: v.astype(np.float64, copy=False) for k, v in t.items()})
-
-
-# ---------------------------------------------------------------------------
-# Poisson model
-# ---------------------------------------------------------------------------
-
-def _guard_from_length(n_terms: int) -> float:
-    # largest z with z + 12 sqrt(z) + 50 <= N: the Poisson(z) mass beyond
-    # 12 sigma + 50 makes the dropped tail < 1e-12 for any polynomially
-    # bounded moment sequence.
-    nn = n_terms - 1
-    if nn <= 50:
-        return 0.0
-    u = math.sqrt(nn - 50 + 36.0) - 6.0
-    return u * u
-
-
-@dataclass(frozen=True)
-class PoissonSeries:
-    """A Poisson generating function e^-z sum m_n z^n / n! over finite m_n."""
-
-    coef: np.ndarray
-    guard_z: float
-
-    @classmethod
-    def from_moments(cls, moments) -> "PoissonSeries":
-        coef = np.asarray(moments, dtype=np.float64)
-        return cls(coef=coef, guard_z=_guard_from_length(len(coef)))
-
-    def eval(self, z, derivative: int = 0):
-        """Evaluate the series (or its first derivative) at real z.
-
-        The derivative is taken termwise: d/dz e^-z sum m_n z^n/n! equals
-        e^-z sum (m_{n+1} - m_n) z^n / n!.
-        """
-        if derivative not in (0, 1):
-            raise ValueError("derivative must be 0 or 1")
-        if abs(z) > self.guard_z:
-            raise GuardExceeded(
-                f"|z|={abs(z):g} beyond series guard {self.guard_z:g}")
-        # the guard certifies the tail beyond z + 12 sqrt(z) + 50 terms is
-        # negligible; do not iterate further into a long table
-        limit = int(math.ceil(abs(z) + 12.0 * math.sqrt(abs(z)) + 50.0)) + 2
-        c = self.coef[:limit + 1] if limit + 1 < len(self.coef) else self.coef
-        if derivative:
-            c = np.diff(c)
-        x = float(z)
-        term = 1.0
-        parts = []
-        for i, cn in enumerate(c):
-            parts.append(cn * term)
-            term *= x / (i + 1)
-        return math.exp(-x) * math.fsum(parts)
-
-
-class PoissonModel:
-    """The five Poisson generating functions of one moment table.
-
-    f10/f01 are the transforms of ES/EK, f20/f02 of the raw second moments
-    and f11 of the raw mixed moment, each Cov + mean * mean; from them the
-    Poissonized variances, the Poissonized covariance and its two toll
-    functions are evaluated.
-    """
-
-    def __init__(self, table: MomentTable):
-        if table.at is not None:
-            raise ValueError("a Poisson model needs a full table, not rows at")
-        self.p = table.p
-        self.q = 1.0 - table.p
-        self.f10 = PoissonSeries.from_moments(table.ES)
-        self.f01 = PoissonSeries.from_moments(table.EK)
-        es, ek = table.ES, table.EK
-        self.f20 = PoissonSeries.from_moments(table.VarS + es * es)
-        self.f02 = PoissonSeries.from_moments(table.VarK + ek * ek)
-        self.f11 = PoissonSeries.from_moments(table.CovSK + es * ek)
-
-    def var_S(self, z: float) -> float:
-        """Poissonized variance of the size: f20 - f10^2 - z f10'^2."""
-        return (self.f20.eval(z) - self.f10.eval(z) ** 2
-                - z * self.f10.eval(z, 1) ** 2)
-
-    def var_K(self, z: float) -> float:
-        """Poissonized variance of the KPL: f02 - f01^2 - z f01'^2."""
-        return (self.f02.eval(z) - self.f01.eval(z) ** 2
-                - z * self.f01.eval(z, 1) ** 2)
-
-    def cov(self, z: float) -> float:
-        """Poissonized covariance: f11 - f10 f01 - z f10' f01'."""
-        return (self.f11.eval(z) - self.f10.eval(z) * self.f01.eval(z)
-                - z * self.f10.eval(z, 1) * self.f01.eval(z, 1))
-
-    def h1(self, z: float) -> float:
-        """First covariance toll: pq z (f10'(pz)-f10'(qz))(f01'(pz)-f01'(qz))."""
-        p, q = self.p, self.q
-        return (p * q * z
-                * (self.f10.eval(p * z, 1) - self.f10.eval(q * z, 1))
-                * (self.f01.eval(p * z, 1) - self.f01.eval(q * z, 1)))
-
-    def h2(self, z: float) -> float:
-        """Second covariance toll (exponentially small for large z)."""
-        p, q = self.p, self.q
-        ez = math.exp(-z)
-        a = z * ez * (self.f10.eval(p * z) + self.f10.eval(q * z)
-                      + p * (1.0 - z) * self.f10.eval(p * z, 1)
-                      + q * (1.0 - z) * self.f10.eval(q * z, 1))
-        b = ez * ((1.0 + z) * self.f01.eval(p * z)
-                  + (1.0 + z) * self.f01.eval(q * z)
-                  - p * z * z * self.f01.eval(p * z, 1)
-                  - q * z * z * self.f01.eval(q * z, 1))
-        c = z * ez * (1.0 - (1.0 + z * z) * ez)
-        return a + b + c

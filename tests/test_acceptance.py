@@ -10,11 +10,11 @@ import math
 import numpy as np
 
 from conftest import table
+from poisson import PoissonModel
 from triemoments import (F_profile, cdigamma, cgamma, fluct_eval, fork,
                          g1_sym, g2_general, g2_sym, g3_sym, invsqrt2,
                          key_shapes, params, sample_keys, sqrt2, sym_coeffs,
                          trial_rng, whiten, SymMatrix2)
-from triemoments.exact import PoissonModel
 from triemoments.gammafn import EULER_GAMMA
 from triemoments.mc import sample_matrix
 

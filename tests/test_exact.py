@@ -11,8 +11,8 @@ from mpmath import mp, mpf
 
 from conftest import (assert_close, in_children, no_child_left, table,
                       two_key_oracle, within, workers)
-from triemoments import (DegenerateVariance, MomentTable, PoissonModel,
-                         TrieMomentsError, WorkBudgetExceeded, compute, exact)
+from triemoments import (DegenerateVariance, MomentTable, TrieMomentsError,
+                         WorkBudgetExceeded, compute, exact)
 from triemoments.asym import IRRATIONAL, g2_general, params
 from triemoments.cli import main
 from triemoments.exact import (_TAIL_BITS, _binom_weights, _canonical, _cone,
@@ -165,11 +165,26 @@ def test_table_at_holds_only_its_rows():
     full = compute(0.3, 300)
     for name, got, want in zip(t.COLUMNS, t.columns(), full.columns()):
         assert got == [want[50], want[300]], name
-    with pytest.raises(ValueError, match="full table"):
-        PoissonModel(t)
     for bad in ([], [1], [301]):
         with pytest.raises(ValueError, match="at must hold rows"):
             compute(0.3, 300, at=bad)
+
+
+def test_float_rows_at_refused():
+    # not truncated to the rows (2, 7)
+    with pytest.raises(ValueError, match="a row of at must be an integer"):
+        compute(0.3, 10, at=[2.5, 7.9])
+    t = compute(0.3, 10, at=[np.int32(7), np.int64(2)])
+    assert t.at == (2, 7) and t.columns() == compute(0.3, 10, at=[2, 7]).columns()
+
+
+def test_float_n_max_refused():
+    # not an IndexError from numpy
+    with pytest.raises(ValueError, match="n_max must be an integer"):
+        compute(0.3, 10.0)
+    for got, want in zip(compute(0.3, np.int64(10)).arrays(),
+                         compute(0.3, 10).arrays()):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_budget_refused_before_dp_work(monkeypatch):
